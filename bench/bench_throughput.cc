@@ -4,9 +4,10 @@
 // slices) and reports how fast the simulator itself executes — millions
 // of simulated instructions per host second (MIPS), per job and in
 // aggregate. Tracks the interpreter hot-path work documented in
-// docs/PERF.md; --reference forces the pre-optimization code paths and
-// --dispatch switch the PR-3 decode-switch core (docs/DISPATCH.md), so
-// fast-vs-reference and threaded-vs-switch throughput are one-flag A/Bs.
+// docs/PERF.md; --reference forces the pre-optimization code paths (the
+// per-step switch core, docs/DISPATCH.md), so fast-vs-reference
+// throughput is a one-flag A/B. Every batched loop of the fast path,
+// fused-nest takeovers included, runs on the threaded core.
 // The differential oracle still gates the exit code, so a throughput run
 // doubles as a correctness sweep.
 //
@@ -169,9 +170,10 @@ int main(int argc, char** argv) {
   SystemConfig orig_cfg = cfg;
   orig_cfg.dsa = dsa::engine::DsaConfig::Original();
   dsa::bench::PrintSetupHeader(cfg);
-  std::printf("simulator path: %s | dispatch: %s\n\n",
-              cfg.reference_path ? "reference (pre-optimization)" : "fast",
-              std::string(dsa::cpu::ToString(cfg.dispatch)).c_str());
+  std::printf("simulator path: %s\n\n",
+              cfg.reference_path
+                  ? "reference (pre-optimization, per-step switch core)"
+                  : "fast (threaded core)");
 
   // VecAdd and DispatchMicro first: the cheap microbenchmarks that
   // `--filter VecAdd` / `--filter DispatchMicro` select as the CI smoke

@@ -6,8 +6,7 @@
 // consistency oracle: a driver exits non-zero if any output-equivalence,
 // determinism or invariant check fails, instead of silently printing a
 // wrong table. Common CLI: --jobs N, --json PATH, --filter SUBSTR,
-// --repeats K, --no-oracle, --dispatch switch|threaded, plus the
-// resilience flags --isolate,
+// --repeats K, --no-oracle, plus the resilience flags --isolate,
 // --journal/--resume, --deadline-ms, --mem-limit-mb, --breaker and
 // --fsync (docs/RESILIENCE.md).
 #pragma once
@@ -60,10 +59,6 @@ struct BenchOptions {
   // --assert-ratio X: with --interleave, exit non-zero unless every cell's
   // median fast/reference ratio is >= X (the scripts/check.sh perf gate).
   double assert_ratio = 0.0;
-  // --dispatch switch|threaded: interpreter core for the batched run
-  // loops (docs/DISPATCH.md). Bit-identical simulated results either way;
-  // only host MIPS differs.
-  cpu::DispatchMode dispatch = cpu::DispatchMode::kThreaded;
   // Seeded loop-nest generator (workloads/gen): --gen-seed is the base
   // seed of the sweep, --gen-count the number of generated programs
   // (0 = the driver's default population).
@@ -200,13 +195,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       o.compare = true;
     } else if (arg == "--reference") {
       o.reference = true;
-    } else if (arg == "--dispatch") {
-      const char* mode = value();
-      if (!cpu::ParseDispatchMode(mode, o.dispatch)) {
-        std::fprintf(stderr, "--dispatch expects switch|threaded, got \"%s\"\n",
-                     mode);
-        std::exit(2);
-      }
     } else if (arg == "--isolate") {
       o.resilience.isolate = true;
     } else if (arg == "--journal") {
@@ -236,7 +224,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                    "[--filter SUBSTR] [--trace PATH] [--faults SPEC] "
                    "[--no-oracle] [--serial] [--compare] [--reference] "
                    "[--interleave N] [--assert-ratio X] "
-                   "[--dispatch switch|threaded] "
                    "[--gen-seed S] [--gen-count N] "
                    "[--isolate] [--journal PATH] [--resume PATH] "
                    "[--deadline-ms N] [--mem-limit-mb N] [--breaker N] "
@@ -328,6 +315,20 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       std::exit(2);
     }
     o.supervisor->Attach(o.runner);
+    if (o.runner.restore_fn) {
+      // A stale resume (a cell journaled under another config) is refused
+      // outright: report the typed error and stop before any table row.
+      o.runner.restore_fn = [inner = o.runner.restore_fn](
+                                const std::string& key, sim::JobOutcome& out) {
+        try {
+          return inner(key, out);
+        } catch (const sim::DsaError& e) {
+          std::fprintf(stderr, "%s\n", e.what());
+          resilience::FlushAllJournals();
+          std::_Exit(2);
+        }
+      };
+    }
     if (o.resilience.isolate && !resilience::IsolationAvailable()) {
       std::fprintf(stderr,
                    "warning: fork() unavailable on this platform; --isolate "
@@ -357,7 +358,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   sim::SystemConfig cfg;
   cfg.trace.enabled = !o.trace_path.empty();
   cfg.reference_path = o.reference;
-  cfg.dispatch = o.dispatch;
   cfg.faults = o.faults;
   return cfg;
 }

@@ -25,9 +25,9 @@ bool CpuState::CondHolds(Cond c) const {
 
 Cpu::Cpu(const prog::Program& program, mem::Memory& memory,
          mem::Hierarchy& hierarchy, const TimingConfig& cfg,
-         bool reference_path, DispatchMode dispatch)
+         bool reference_path)
     : program_(program), memory_(memory), hierarchy_(hierarchy), cfg_(cfg),
-      reference_path_(reference_path), dispatch_(dispatch) {
+      reference_path_(reference_path) {
   l1_ = &hierarchy_.l1_runs();
   l1_shift_ = l1_->line_shift();
   l1_mask_ = hierarchy_.l1_line_mask();
@@ -52,9 +52,7 @@ Cpu::Cpu(const prog::Program& program, mem::Memory& memory,
   }
   // The reference twin always runs the per-step switch core, so the
   // threaded stream would be dead weight there.
-  if (dispatch_ == DispatchMode::kThreaded && !reference_path_) {
-    BuildThreaded();
-  }
+  if (!reference_path_) BuildThreaded();
 }
 
 std::uint64_t Cpu::Cycles() const {
@@ -548,8 +546,16 @@ Retired Cpu::Step() {
 // the definition lives.
 template void Cpu::StepImpl<true>(Retired& r);
 
-template <bool kRef>
-void Cpu::RunFreeImpl(std::uint64_t max_steps, std::uint64_t& steps) {
+// The batched entry points run on the threaded core (dispatch.cc); the
+// loops below are the reference twin's, one StepBody<.., true> per retire.
+// RunToInteresting has no reference loop: the reference run loop observes
+// every retire through Step() and never skips (sim/system.cc).
+
+void Cpu::RunFree(std::uint64_t max_steps, std::uint64_t& steps) {
+  if (!reference_path_) {
+    RunFreeThreaded(max_steps, steps);
+    return;
+  }
   Retired r;
   const StepCtx ctx = MakeCtx();
   BatchScope b(*this);
@@ -559,70 +565,20 @@ void Cpu::RunFreeImpl(std::uint64_t max_steps, std::uint64_t& steps) {
       state_.halted = true;
       return;
     }
-    b.pc = StepBody<false, kRef>(b.pc, r, b.a, ctx);
+    b.pc = StepBody<false, true>(b.pc, r, b.a, ctx);
   }
 }
 
-void Cpu::RunFree(std::uint64_t max_steps, std::uint64_t& steps) {
-  if (reference_path_) {
-    RunFreeImpl<true>(max_steps, steps);
-  } else if (dispatch_ == DispatchMode::kThreaded) {
-    RunFreeThreaded(max_steps, steps);
-  } else {
-    RunFreeImpl<false>(max_steps, steps);
+Cpu::CoveredOutcome Cpu::RunCovered(std::uint32_t coverage_start,
+                                    std::uint32_t coverage_latch,
+                                    std::uint32_t inner_start,
+                                    std::uint32_t inner_latch,
+                                    std::uint32_t count_latch,
+                                    std::uint64_t max_iterations) {
+  if (!reference_path_) {
+    return RunCoveredThreaded(coverage_start, coverage_latch, inner_start,
+                              inner_latch, count_latch, max_iterations);
   }
-}
-
-template <bool kRef>
-Retired Cpu::RunToInterestingImpl(bool watch_window, std::uint32_t window_lo,
-                                  std::uint32_t window_hi,
-                                  std::uint64_t max_steps,
-                                  std::uint64_t& steps,
-                                  std::uint64_t& skipped) {
-  Retired r;
-  const StepCtx ctx = MakeCtx();
-  BatchScope b(*this);
-  while (!state_.halted) {
-    if (++steps > max_steps) return Retired{};
-    const std::uint32_t pc = b.pc;
-    if (pc >= ctx.psize) {
-      state_.halted = true;
-      return Retired{};
-    }
-    if (ctx.dtab[pc].latch_candidate ||
-        (watch_window && (pc < window_lo || pc >= window_hi))) {
-      b.pc = StepBody<true, kRef>(b.pc, r, b.a, ctx);
-      return r;
-    }
-    b.pc = StepBody<false, kRef>(b.pc, r, b.a, ctx);
-    ++skipped;
-  }
-  return Retired{};
-}
-
-Retired Cpu::RunToInteresting(bool watch_window, std::uint32_t window_lo,
-                              std::uint32_t window_hi,
-                              std::uint64_t max_steps, std::uint64_t& steps,
-                              std::uint64_t& skipped) {
-  if (reference_path_) {
-    return RunToInterestingImpl<true>(watch_window, window_lo, window_hi,
-                                      max_steps, steps, skipped);
-  }
-  if (dispatch_ == DispatchMode::kThreaded) {
-    return RunToInterestingThreaded(watch_window, window_lo, window_hi,
-                                    max_steps, steps, skipped);
-  }
-  return RunToInterestingImpl<false>(watch_window, window_lo, window_hi,
-                                     max_steps, steps, skipped);
-}
-
-template <bool kRef>
-Cpu::CoveredOutcome Cpu::RunCoveredImpl(std::uint32_t coverage_start,
-                                        std::uint32_t coverage_latch,
-                                        std::uint32_t inner_start,
-                                        std::uint32_t inner_latch,
-                                        std::uint32_t count_latch,
-                                        std::uint64_t max_iterations) {
   const bool fused =
       coverage_start != inner_start || coverage_latch != inner_latch;
   const CpuStats before = stats_;
@@ -649,7 +605,7 @@ Cpu::CoveredOutcome Cpu::RunCoveredImpl(std::uint32_t coverage_start,
       // taken branch can never land on the fall-through).
       const Opcode op = ctx.dtab[pc].ins.op;
       const bool store = ctx.dtab[pc].is_store;
-      b.pc = StepBody<false, kRef>(pc, r, b.a, ctx);
+      b.pc = StepBody<false, true>(pc, r, b.a, ctx);
       if (op == Opcode::kBl) ++depth;
       if (op == Opcode::kRet) --depth;
 
@@ -696,30 +652,6 @@ void Cpu::RewindCoveredStats(const CpuStats& before, CoveredOutcome& d) {
   stats_.mispredicts -= d_mispred;
 
   d.retired = d_retired;
-}
-
-Cpu::CoveredOutcome Cpu::RunCovered(std::uint32_t coverage_start,
-                                    std::uint32_t coverage_latch,
-                                    std::uint32_t inner_start,
-                                    std::uint32_t inner_latch,
-                                    std::uint32_t count_latch,
-                                    std::uint64_t max_iterations) {
-  if (reference_path_) {
-    return RunCoveredImpl<true>(coverage_start, coverage_latch, inner_start,
-                                inner_latch, count_latch, max_iterations);
-  }
-  // Fused-nest takeovers (outer coverage around a vectorized inner loop)
-  // need the per-retire glue accounting, which only the switch core
-  // implements; both dispatch modes route them there, so the modes stay
-  // bit-identical by construction (docs/DISPATCH.md).
-  const bool fused_nest =
-      coverage_start != inner_start || coverage_latch != inner_latch;
-  if (dispatch_ == DispatchMode::kThreaded && !fused_nest) {
-    return RunCoveredThreaded(coverage_start, coverage_latch, count_latch,
-                              max_iterations);
-  }
-  return RunCoveredImpl<false>(coverage_start, coverage_latch, inner_start,
-                               inner_latch, count_latch, max_iterations);
 }
 
 }  // namespace dsa::cpu

@@ -4,6 +4,12 @@
 // pipeline). Timing is trace-level: each retired instruction charges issue
 // bandwidth and stall cycles; the DSA observes the retired stream exactly as
 // in Figure 31 of the dissertation (analysis hooked at fetch/retire).
+//
+// Two interpreter cores execute the same StepBody semantics: the per-step
+// decode-switch core (Step(), and every loop of the `reference_path`
+// twin), and the predecoded threaded-code core (src/cpu/dispatch.cc) that
+// runs all batched loops — free running, DSA-idle skipping and covered
+// takeovers, fused nests included (docs/DISPATCH.md).
 #pragma once
 
 #include <array>
@@ -12,7 +18,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cpu/dispatch.h"
 #include "isa/instruction.h"
 #include "mem/cache.h"
 #include "mem/memory.h"
@@ -78,17 +83,14 @@ struct CpuStats {
 class Cpu {
  public:
   // `reference_path` forces the pre-optimization code paths (per-step
-  // opcode re-derivation, unordered_map branch predictor); simulated
-  // results are bit-identical either way (tests/test_reference_path.cc).
-  // `dispatch` selects the batched-loop interpreter core: the predecoded
-  // threaded-code engine (default) or the PR-3 decode-switch twin; both
-  // produce bit-identical results (tests/test_dispatch.cc). The reference
-  // path always runs on the per-step switch core, so `dispatch` has no
-  // effect when `reference_path` is set.
+  // opcode re-derivation, unordered_map branch predictor, per-step
+  // decode-switch loops); simulated results are bit-identical either way
+  // (tests/test_reference_path.cc, tests/test_dispatch.cc). Otherwise the
+  // batched loops run on the predecoded threaded-code engine
+  // (docs/DISPATCH.md).
   Cpu(const prog::Program& program, mem::Memory& memory,
       mem::Hierarchy& hierarchy, const TimingConfig& cfg = {},
-      bool reference_path = false,
-      DispatchMode dispatch = DispatchMode::kThreaded);
+      bool reference_path = false);
 
   // Executes one instruction; returns the retire record. No-op when halted.
   Retired Step();
@@ -103,17 +105,17 @@ class Cpu {
   void RunFree(std::uint64_t max_steps, std::uint64_t& steps);
 
   // DSA-idle batch: executes instructions without observation until one
-  // matches the engine's interest filter — a backward conditional branch
-  // (latch candidate), or, when `watch_window`, any pc outside
-  // [window_lo, window_hi) (the cooldown-maintenance window). The matching
-  // instruction is executed with full observation and its retire record
-  // returned; `skipped` counts the unobserved instructions executed before
-  // it (the caller credits them via DsaEngine::ObserveSkipped). Returns a
-  // null-instr record when the CPU halts or the step budget runs out
-  // first.
-  Retired RunToInteresting(bool watch_window, std::uint32_t window_lo,
-                           std::uint32_t window_hi, std::uint64_t max_steps,
-                           std::uint64_t& steps, std::uint64_t& skipped);
+  // the engine's observation-relevance classes mark as interesting
+  // (SetObserveClass; unfilled classes default to every latch candidate).
+  // The matching instruction is executed with full observation and its
+  // retire record returned; `skipped` counts the unobserved instructions
+  // executed before it (the caller credits them via
+  // DsaEngine::ObserveSkipped). Returns a null-instr record when the CPU
+  // halts or the step budget runs out first. Fast path only: the
+  // reference twin observes every retire through Step(), and calling this
+  // on a reference-path Cpu throws std::logic_error.
+  Retired RunToInteresting(std::uint64_t max_steps, std::uint64_t& steps,
+                           std::uint64_t& skipped);
 
   // Outcome of a covered-region run (DSA takeover, Scenario 2).
   struct CoveredOutcome {
@@ -129,7 +131,9 @@ class Cpu {
   // bandwidth and non-memory stalls are removed from the timing (the
   // engine retro-charges them as vector execution in FinishTakeover).
   // Covered instructions are not counted against the run loop's step
-  // budget, matching the per-step reference loop.
+  // budget. A fused nest (coverage != inner loop) counts every retire
+  // outside [inner_start, inner_latch] as glue and ends the run after a
+  // glue store, which the engine answers by demoting the fusion.
   CoveredOutcome RunCovered(std::uint32_t coverage_start,
                             std::uint32_t coverage_latch,
                             std::uint32_t inner_start,
@@ -167,10 +171,8 @@ class Cpu {
   // a simulated stat and never compared by the oracle).
   [[nodiscard]] std::uint64_t host_steps() const { return host_steps_; }
 
-  // Which interpreter core the batched loops run on (docs/DISPATCH.md).
-  [[nodiscard]] DispatchMode dispatch() const { return dispatch_; }
   // Superinstruction pairs the lowering pass fused for this program
-  // (0 when the threaded engine is not active). Test/introspection only.
+  // (0 on the reference path, which never lowers). Test/introspection only.
   [[nodiscard]] std::uint32_t fused_pairs() const { return fused_pairs_; }
 
   // Observation-relevance class of a pc, written by
@@ -181,7 +183,7 @@ class Cpu {
   // materializes the retire for the engine only when the branch is taken.
   // Lowering defaults every latch candidate to kExit, so a Cpu whose
   // classes were never filled behaves exactly like the pre-relevance skip
-  // loop. No-op in switch/reference mode (no threaded stream to annotate).
+  // loop. No-op on the reference path (no threaded stream to annotate).
   enum class ObsClass : std::uint8_t { kInert, kExit, kLatchExec };
   void SetObserveClass(std::uint32_t pc, ObsClass c) {
     if (pc >= tslots_.size()) return;
@@ -278,7 +280,7 @@ class Cpu {
   // kObserve fills the caller's Retired record; !kObserve compiles the
   // record writes out. kRef selects the pre-optimization code paths
   // (per-step opcode re-derivation, map predictor). State, stats and
-  // memory effects are identical across all four instantiations.
+  // memory effects are identical across all instantiations.
   template <bool kObserve, bool kRef>
   [[gnu::always_inline]] inline std::uint32_t StepBody(std::uint32_t pc,
                                                        Retired& r,
@@ -288,21 +290,6 @@ class Cpu {
   // One-instruction wrapper around StepBody (the Step() slow path).
   template <bool kObserve>
   void StepImpl(Retired& r);
-
-  template <bool kRef>
-  void RunFreeImpl(std::uint64_t max_steps, std::uint64_t& steps);
-  template <bool kRef>
-  Retired RunToInterestingImpl(bool watch_window, std::uint32_t window_lo,
-                               std::uint32_t window_hi,
-                               std::uint64_t max_steps, std::uint64_t& steps,
-                               std::uint64_t& skipped);
-  template <bool kRef>
-  CoveredOutcome RunCoveredImpl(std::uint32_t coverage_start,
-                                std::uint32_t coverage_latch,
-                                std::uint32_t inner_start,
-                                std::uint32_t inner_latch,
-                                std::uint32_t count_latch,
-                                std::uint64_t max_iterations);
 
   // ---- threaded-code dispatch engine (src/cpu/dispatch.cc) -------------
   //
@@ -334,59 +321,62 @@ class Cpu {
   struct TSlot {
     std::uint8_t h = 0;
     std::uint8_t hp = 0;
-    std::uint8_t flags = 0;  // kSlot* observation-relevance bits below
+    std::uint8_t flags = 0;  // kSlot* bits below
     std::uint8_t pad = 0;
     POp a;
     POp b;
   };
-  // Slot flags. kSlotLatch is the immutable predecode fact (latch
-  // candidate); the two observation bits are the *mutable* relevance class
-  // (ObsClass) the skip loop dispatches on, rewritten whenever the engine's
-  // cooldown/blacklist state changes (SetObserveClass). Neither bit set
-  // means kInert.
+  // Slot flags. kSlotLatch and kSlotStore are immutable predecode facts
+  // (latch candidate; store opcode, which ends a fused-nest coverage when
+  // it is glue); the two observation bits are the *mutable* relevance
+  // class (ObsClass) the skip loop dispatches on, rewritten whenever the
+  // engine's cooldown/blacklist state changes (SetObserveClass). Neither
+  // observation bit set means kInert.
   static constexpr std::uint8_t kSlotLatch = 1;
   static constexpr std::uint8_t kSlotObsExit = 2;      // ObsClass::kExit
   static constexpr std::uint8_t kSlotObsExecExit = 4;  // ObsClass::kLatchExec
+  static constexpr std::uint8_t kSlotStore = 8;
 
   // The three batched-loop shapes share one threaded body template.
   enum class TKind { kFree, kSkip, kCovered };
   // kInterestExec: a kLatchExec latch was executed inline and taken — the
   // materialized retire record is already filled; the caller must NOT step.
-  enum class TExit { kHalt, kBudget, kInterest, kInterestExec, kRegion };
+  // kGlueStore: a fused-nest glue store is next, NOT executed; the caller
+  // retires it and ends the coverage.
+  enum class TExit {
+    kHalt, kBudget, kInterest, kInterestExec, kRegion, kGlueStore
+  };
 
   // Parameters of one threaded batch; unused fields ignored per TKind.
   struct TRun {
     std::uint64_t max_steps = 0;       // kFree/kSkip budget
-    bool watch_window = false;         // kSkip interest filter
-    std::uint32_t window_lo = 0;
-    std::uint32_t window_hi = 0;
     std::uint32_t cov_start = 0;       // kCovered region + latch logic
     std::uint32_t cov_latch = 0;
+    std::uint32_t inner_start = 0;     // kCovered inner loop: equal to the
+    std::uint32_t inner_latch = 0;     // region unless a fused nest
     std::uint32_t count_latch = 0;
     std::uint64_t max_iterations = 0;
   };
 
   void BuildThreaded();  // lowering + superinstruction selection
 
+  // `tally` counts kSkip's unobserved retires and kCovered's glue retires.
   template <TKind K>
   TExit ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
-                     std::uint64_t& steps, std::uint64_t& skipped,
+                     std::uint64_t& steps, std::uint64_t& tally,
                      std::uint64_t& iterations, Retired* obs);
 
   void RunFreeThreaded(std::uint64_t max_steps, std::uint64_t& steps);
-  Retired RunToInterestingThreaded(bool watch_window, std::uint32_t window_lo,
-                                   std::uint32_t window_hi,
-                                   std::uint64_t max_steps,
-                                   std::uint64_t& steps,
-                                   std::uint64_t& skipped);
   CoveredOutcome RunCoveredThreaded(std::uint32_t coverage_start,
                                     std::uint32_t coverage_latch,
+                                    std::uint32_t inner_start,
+                                    std::uint32_t inner_latch,
                                     std::uint32_t count_latch,
                                     std::uint64_t max_iterations);
 
   // Removes the scalar cost of a covered run from the stats (issue slots,
-  // non-memory stalls, retires, branch counters) — shared by the switch
-  // and threaded covered loops.
+  // non-memory stalls, retires, branch counters) — shared by the
+  // reference and threaded covered loops.
   void RewindCoveredStats(const CpuStats& before, CoveredOutcome& d);
 
   // Simple 2-bit saturating-counter branch predictor, indexed by pc.
@@ -419,7 +409,7 @@ class Cpu {
 
   // Run-miss slow path: closes the pending run, then either opens a new
   // run on a resident single-line access (a hit — 0 stall, exactly like
-  // the switch core's hit-latency clamp) or falls through to the full
+  // the per-step core's hit-latency clamp) or falls through to the full
   // hierarchy access and re-probes so the *next* access can open a run.
   std::uint32_t MemRunSlow(std::uint32_t addr, std::uint32_t bytes,
                            std::uint64_t line, MemRun& run);
@@ -431,7 +421,6 @@ class Cpu {
   CpuState state_;
   CpuStats stats_;
   bool reference_path_;
-  DispatchMode dispatch_;
   std::uint64_t host_steps_ = 0;
   // L1 geometry hoisted at construction for the threaded memory fast path
   // (members so MemRunSlow sees them; the hot loop re-hoists into locals).
@@ -440,7 +429,7 @@ class Cpu {
   std::uint32_t l1_mask_ = 0;
   std::uint32_t l1_hit_ = 0;
   std::vector<DecodedInstr> decoded_;
-  // Threaded-code stream: one slot per pc (empty in switch/reference mode).
+  // Threaded-code stream: one slot per pc (empty on the reference path).
   std::vector<TSlot> tslots_;
   std::uint32_t fused_pairs_ = 0;
   // Fast-path predictor: one counter per PC, kUntrained until the first

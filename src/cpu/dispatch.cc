@@ -18,12 +18,19 @@
 // fused group and the per-instruction skip loop (which dispatches
 // through TSlot::hp) execute the group unfused.
 //
+// Fused-nest takeovers (an outer coverage around a vectorized inner loop)
+// run here too: the covered head keeps the inner body on the fused stream
+// with one unsigned range compare, and only pcs outside it pay the region
+// peek and the glue accounting. Glue dispatches through the unfused `hp`
+// handlers, so each glue retire is counted once and a glue-headed pair
+// can never swallow the inner loop's first instruction.
+//
 // Bit-identity contract: every simulated stat and architectural effect is
-// identical to the decode-switch core (StepBody) — same check order at
-// the loop head (free/skip: halted, budget, out-of-range, interest;
-// covered: halted, region peek, out-of-range), same budget semantics (a
-// pair straddling budget exhaustion retires only its head), same
-// predictor update sequence, same exception points with exact state
+// identical to the per-step core (StepBody) of the reference twin — same
+// check order at the loop head (free/skip: halted, budget, out-of-range,
+// interest; covered: halted, region peek, out-of-range, glue), same budget
+// semantics (a pair straddling budget exhaustion retires only its head),
+// same predictor update sequence, same exception points with exact state
 // published by the BatchScope on unwind. tests/test_dispatch.cc and the
 // differential oracle gate this for every workload family.
 
@@ -218,6 +225,7 @@ void Cpu::BuildThreaded() {
     // callers, tests) batches exactly like the pre-relevance skip loop.
     // DsaEngine::FillObserveClasses rewrites the two obs bits at run time.
     if (d.latch_candidate) s.flags |= kSlotLatch | kSlotObsExit;
+    if (d.is_store) s.flags |= kSlotStore;
 
     POp& p = s.a;
     p.imm = ins.imm;
@@ -304,7 +312,7 @@ void Cpu::BuildThreaded() {
 
 // Memory latency through the batch-local way-predicted run (MemRun,
 // cpu.h): while consecutive accesses stay in the run's resident L1 line,
-// each hit is counted locally and stalls 0 cycles — exactly the switch
+// each hit is counted locally and stalls 0 cycles — exactly the per-step
 // core's hit-latency clamp — and the cache is charged once when the run
 // closes (MemRunSlow / the writeback lambda). Anything else (line change,
 // straddling access, non-resident line) takes the slow path.
@@ -464,7 +472,7 @@ void Cpu::BuildThreaded() {
   } while (0)
 
 // Covered-mode latch bookkeeping after a branch at `bpc_` resolved to
-// `nextv_` (RunCoveredImpl's iteration counting, verbatim).
+// `nextv_` (the reference RunCovered's iteration counting, verbatim).
 #define DSA_C_LATCH(bpc_, nextv_)                                         \
   if constexpr (K == TKind::kCovered) {                                   \
     if ((bpc_) == count_latch) {                                          \
@@ -489,11 +497,11 @@ void Cpu::BuildThreaded() {
 
 // Retire boundary: advance to `np_` and re-enter the dispatch head. The
 // out-of-range halt is checked before the next instruction consumes
-// budget (matching the switch loops, where StepBody halts on fall-off
+// budget (matching the per-step loops, where StepBody halts on fall-off
 // and the `while (!halted)` head exits before `++steps`).
 #define DSA_NEXT(np_)                                                     \
   do {                                                                    \
-    if constexpr (K == TKind::kSkip) ++lskipped;                          \
+    if constexpr (K == TKind::kSkip) ++ltally;                            \
     pc = (np_);                                                           \
     if (pc >= psize) {                                                    \
       state_.halted = true;                                               \
@@ -506,7 +514,7 @@ void Cpu::BuildThreaded() {
 // the skip loop never dispatches fused, covered steps are budget-exempt).
 // When the budget dies mid-group only the first `off_` members have
 // retired, so control rests on the next member's own (plain) slot —
-// identical to the switch loop retiring them and stopping.
+// identical to the per-step loop retiring them and stopping.
 #define DSA_FUSE_MID(off_)                                                \
   if constexpr (K == TKind::kFree) {                                      \
     if (++bsteps > max_steps) {                                           \
@@ -518,7 +526,7 @@ void Cpu::BuildThreaded() {
 
 template <Cpu::TKind K>
 Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
-                             std::uint64_t& steps, std::uint64_t& skipped,
+                             std::uint64_t& steps, std::uint64_t& tally,
                              std::uint64_t& iterations, Retired* obs) {
   const TSlot* const tab = tslots_.data();
   std::uint8_t* const ptab = ctx.ptab;
@@ -533,17 +541,23 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
   // Mode parameters copied out of `p`: it lives behind a reference the
   // interpreter's byte stores could alias, locals are load-once.
   [[maybe_unused]] const std::uint64_t max_steps = p.max_steps;
-  [[maybe_unused]] const bool watch = p.watch_window;
-  [[maybe_unused]] const std::uint32_t wlo = p.window_lo;
-  [[maybe_unused]] const std::uint32_t whi = p.window_hi;
   [[maybe_unused]] const std::uint32_t cov_start = p.cov_start;
   [[maybe_unused]] const std::uint32_t cov_latch = p.cov_latch;
+  [[maybe_unused]] const std::uint32_t inner_start = p.inner_start;
+  [[maybe_unused]] const std::uint32_t inner_latch = p.inner_latch;
   [[maybe_unused]] const std::uint32_t count_latch = p.count_latch;
   [[maybe_unused]] const std::uint64_t max_iter = p.max_iterations;
+  // Covered fast path: a pc inside the inner loop — the whole region for
+  // a plain takeover; the engine's fused nests always lie inside their
+  // coverage — can neither leave the region nor be glue, and a fused
+  // group headed there ends by the inner latch (a kB, never a head).
+  [[maybe_unused]] const bool fused =
+      inner_start != cov_start || inner_latch != cov_latch;
+  [[maybe_unused]] const std::uint32_t inner_span = inner_latch - inner_start;
 
   // Batch-local architectural state: written back on every exit path,
   // including exceptions (FailRange / kHBad), so the BatchScope publishes
-  // exact state wherever control leaves — same guarantee as the switch
+  // exact state wherever control leaves — same guarantee as the per-step
   // loops, which mutate state_ in place.
   std::uint32_t lr[isa::kNumScalarRegs];
   std::memcpy(lr, state_.regs.data(), sizeof(lr));
@@ -551,7 +565,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
   std::uint32_t pc = b.pc;
   StepAccum acc = b.a;
   std::uint64_t bsteps = steps;
-  std::uint64_t lskipped = skipped;
+  std::uint64_t ltally = tally;
   std::uint64_t iters = iterations;
   [[maybe_unused]] int depth = 0;  // kBl/kRet nesting inside a covered region
   const TSlot* s = nullptr;
@@ -568,7 +582,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     b.pc = pc;
     b.a = acc;
     steps = bsteps;
-    skipped = lskipped;
+    tally = ltally;
     iterations = iters;
   };
 
@@ -583,7 +597,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     static_assert(sizeof(htab) / sizeof(htab[0]) == kHCount,
                   "label table out of sync with handler ids");
 
-    // Entry replicates the switch loops' head order exactly: free/skip
+    // Entry replicates the per-step loops' head order exactly: free/skip
     // consume budget before the out-of-range check; covered peeks the
     // region first and is budget-exempt.
     if (state_.halted) goto done;
@@ -602,17 +616,7 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
       state_.halted = true;
       goto done;
     }
-    s = tab + pc;
-    if constexpr (K == TKind::kSkip) {
-      if ((s->flags & kSlotObsExit) != 0 ||
-          (watch && (pc < wlo || pc >= whi))) {
-        ex = TExit::kInterest;
-        goto done;
-      }
-      goto *htab[s->hp];
-    } else {
-      goto *htab[s->h];
-    }
+    goto dispatch;
 
   next_dispatch:
     if constexpr (K != TKind::kCovered) {
@@ -620,28 +624,44 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
         ex = TExit::kBudget;
         goto done;
       }
-    } else {
-      if (depth == 0 && (pc < cov_start || pc > cov_latch)) {
-        ex = TExit::kRegion;
-        goto done;
-      }
     }
+  dispatch:
     s = tab + pc;
     if constexpr (K == TKind::kSkip) {
       // Interest filter on the observation-relevance class: kExit pcs end
       // the batch with the instruction NOT executed — the wrapper retires
-      // it observed on the shared switch core, with the budget for it
+      // it observed on the shared per-step core, with the budget for it
       // already consumed above. (Unfilled classes default every latch
-      // candidate to kExit; the window check serves direct callers that
-      // never fill.) kLatchExec latches carry kSlotObsExecExit instead and
-      // fall through to their own handler, which exits with a materialized
-      // record only when the branch is taken. Inert pcs just execute.
-      if ((s->flags & kSlotObsExit) != 0 ||
-          (watch && (pc < wlo || pc >= whi))) {
+      // candidate to kExit.) kLatchExec latches carry kSlotObsExecExit
+      // instead and fall through to their own handler, which exits with a
+      // materialized record only when the branch is taken. Inert pcs just
+      // execute.
+      if ((s->flags & kSlotObsExit) != 0) {
         ex = TExit::kInterest;
         goto done;
       }
       goto *htab[s->hp];
+    } else if constexpr (K == TKind::kCovered) {
+      if (pc - inner_start > inner_span) {
+        // Outside the inner loop: the region peek (function calls keep
+        // the coverage alive through `depth`), then glue accounting.
+        if (depth == 0 && (pc < cov_start || pc > cov_latch)) {
+          ex = TExit::kRegion;
+          goto done;
+        }
+        if (fused) {
+          if ((s->flags & kSlotStore) != 0) {
+            // A glue store breaks the Fig. 17 fusion assumption: leave it
+            // unexecuted for the wrapper, which retires it and ends the
+            // coverage.
+            ex = TExit::kGlueStore;
+            goto done;
+          }
+          ++ltally;
+          goto *htab[s->hp];
+        }
+      }
+      goto *htab[s->h];
     } else {
       goto *htab[s->h];
     }
@@ -808,10 +828,10 @@ Cpu::TExit Cpu::ThreadedBody(BatchScope& b, const StepCtx& ctx, const TRun& p,
     DSA_NEXT(pc + 1);
   LHalt:
     // next_pc = pc, halted: the skip loop still counts the retire as
-    // skipped (the switch loop increments after StepBody returns).
+    // skipped (the per-step loop increments after StepBody returns).
     state_.halted = true;
     ++acc.steps;
-    if constexpr (K == TKind::kSkip) ++lskipped;
+    if constexpr (K == TKind::kSkip) ++ltally;
     goto done;
 
     // ---- vector --------------------------------------------------------
@@ -1131,12 +1151,11 @@ void Cpu::RunFreeThreaded(std::uint64_t max_steps, std::uint64_t& steps) {
   ThreadedBody<TKind::kFree>(b, ctx, p, steps, skipped, iterations, nullptr);
 }
 
-Retired Cpu::RunToInterestingThreaded(bool watch_window,
-                                      std::uint32_t window_lo,
-                                      std::uint32_t window_hi,
-                                      std::uint64_t max_steps,
-                                      std::uint64_t& steps,
-                                      std::uint64_t& skipped) {
+Retired Cpu::RunToInteresting(std::uint64_t max_steps, std::uint64_t& steps,
+                              std::uint64_t& skipped) {
+  if (reference_path_) {
+    throw std::logic_error("Cpu::RunToInteresting on a reference-path Cpu");
+  }
   TExit e;
   Retired r{};
   {
@@ -1144,43 +1163,52 @@ Retired Cpu::RunToInterestingThreaded(bool watch_window,
     BatchScope b(*this);
     TRun p;
     p.max_steps = max_steps;
-    p.watch_window = watch_window;
-    p.window_lo = window_lo;
-    p.window_hi = window_hi;
     std::uint64_t iterations = 0;
     e = ThreadedBody<TKind::kSkip>(b, ctx, p, steps, skipped, iterations, &r);
   }  // scope closed: pc and stat deltas published before the observed step
   // kInterestExec: a kLatchExec latch already executed inline and filled
-  // `r` with the exact record the switch core produces for a taken kB
+  // `r` with the exact record the per-step core produces for a taken kB
   // (its accounting went through the batch accumulator above).
   if (e == TExit::kInterestExec) return r;
   if (e != TExit::kInterest) return Retired{};
-  // The interesting instruction retires on the shared per-step switch
-  // core with observation on, so the engine sees the exact record the
-  // switch twin produces. Its budget was already consumed above.
+  // The interesting instruction retires on the shared per-step core with
+  // observation on, so the engine sees the exact record the reference twin
+  // produces. Its budget was already consumed above.
   StepImpl<true>(r);
   return r;
 }
 
 Cpu::CoveredOutcome Cpu::RunCoveredThreaded(std::uint32_t coverage_start,
                                             std::uint32_t coverage_latch,
+                                            std::uint32_t inner_start,
+                                            std::uint32_t inner_latch,
                                             std::uint32_t count_latch,
                                             std::uint64_t max_iterations) {
   const CpuStats before = stats_;
   CoveredOutcome d;
+  TExit e;
   {
     const StepCtx ctx = MakeCtx();
     BatchScope b(*this);
     TRun p;
     p.cov_start = coverage_start;
     p.cov_latch = coverage_latch;
+    p.inner_start = inner_start;
+    p.inner_latch = inner_latch;
     p.count_latch = count_latch;
     p.max_iterations = max_iterations;
     std::uint64_t steps = 0;
-    std::uint64_t skipped = 0;
-    ThreadedBody<TKind::kCovered>(b, ctx, p, steps, skipped, d.iterations,
-                                  nullptr);
-  }  // publish pc + stat deltas before the timing replacement below
+    e = ThreadedBody<TKind::kCovered>(b, ctx, p, steps, d.glue_instrs,
+                                      d.iterations, nullptr);
+  }  // publish pc + stat deltas before the glue store and the rewind
+  if (e == TExit::kGlueStore) {
+    // The reference loop executes the glue store, counts it and stops:
+    // retire it on the shared per-step core, inside the rewound span.
+    Retired r;
+    StepImpl<true>(r);
+    ++d.glue_instrs;
+    d.fused_glue_store = true;
+  }
   RewindCoveredStats(before, d);
   return d;
 }

@@ -1,13 +1,10 @@
-// Dispatch-mode selection for the interpreter core (docs/DISPATCH.md).
+// Names of the interpreter cores a run can execute on (docs/DISPATCH.md),
+// as reported in the bench JSON's host.dispatch.
 //
-// kThreaded (the default) runs the batched loops on the predecoded
-// threaded-code engine: each program is lowered once into a stream of
-// handler ids plus packed operand records, executed with computed-goto
-// indirect threading and a superinstruction pass that fuses common
-// retire pairs. kSwitch keeps the PR-3 decode-switch loops as a
-// selectable twin (`--dispatch switch`). Simulated results are
-// bit-identical across both modes and the `--reference` twin
-// (tests/test_dispatch.cc, tests/test_reference_path.cc).
+// kThreaded is the predecoded threaded-code engine that runs every batched
+// loop. kSwitch is the per-step decode-switch core that the `--reference`
+// twin and traced runs retire through. Simulated results are bit-identical
+// on both (tests/test_dispatch.cc, tests/test_reference_path.cc).
 #pragma once
 
 #include <cstdint>
@@ -16,8 +13,8 @@
 namespace dsa::cpu {
 
 enum class DispatchMode : std::uint8_t {
-  kSwitch,    // PR-3 predecode + central decode-dispatch switch
-  kThreaded,  // predecoded threaded code + superinstructions (default)
+  kSwitch,    // per-step decode switch (every retire of the run)
+  kThreaded,  // predecoded threaded code + superinstructions
 };
 
 [[nodiscard]] inline std::string_view ToString(DispatchMode m) {
@@ -26,22 +23,6 @@ enum class DispatchMode : std::uint8_t {
     case DispatchMode::kThreaded: return "threaded";
   }
   return "?";
-}
-
-// Strict parse: only the exact mode names are accepted; returns false on
-// anything else so `--dispatch` can refuse unknown values instead of
-// silently falling back to a default.
-[[nodiscard]] inline bool ParseDispatchMode(std::string_view text,
-                                            DispatchMode& out) {
-  if (text == "switch") {
-    out = DispatchMode::kSwitch;
-    return true;
-  }
-  if (text == "threaded") {
-    out = DispatchMode::kThreaded;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace dsa::cpu

@@ -13,12 +13,14 @@
 
 #include "resilience/iofault.h"
 #include "resilience/mini_json.h"
+#include "sim/digest.h"
+#include "sim/error.h"
 
 namespace dsa::resilience {
 
 namespace {
 
-constexpr const char kJournalSchema[] = "dsa-journal/1";
+constexpr const char kJournalSchema[] = "dsa-journal/2";
 
 // ---------------------------------------------------------------------------
 // Signal-safe fd registry: a fixed table of open journal fds so a signal
@@ -392,6 +394,7 @@ std::string SerializeOutcome(const sim::JobOutcome& out) {
   PutStr(s, "kind", "cell");
   PutStr(s, "key", out.key);
   PutStr(s, "status", out.cell_status);
+  PutU64(s, "config", out.config_digest);
   PutU64(s, "attempts", out.attempts);
   PutDbl(s, "wall_ms", out.wall_ms);
   PutU64(s, "runs", out.runs.size());
@@ -418,6 +421,9 @@ bool ParseOutcomePayload(const std::string& payload, std::string& key,
   const JsonValue* status = j.Find("status");
   if (status == nullptr || !status->is_string()) return false;
   out.cell_status = status->AsString();
+  if (const JsonValue* config = j.Find("config"); config != nullptr) {
+    out.config_digest = config->AsU64();
+  }
   const JsonValue* attempts = j.Find("attempts");
   if (attempts == nullptr) return false;
   out.attempts = attempts->AsU64();
@@ -470,6 +476,20 @@ bool ReplayJournal(const std::string& path, ReplayResult& out,
         if (error != nullptr) {
           *error = "journal schema " + schema->AsString() +
                    " is not " + kJournalSchema;
+        }
+        return false;
+      }
+      // Cells are only valid under the engine that computed them.
+      const JsonValue* engine = j.Find("engine");
+      const std::string recorded =
+          engine != nullptr ? engine->AsString() : std::string("(none)");
+      if (recorded != sim::kEngineVersion) {
+        if (error != nullptr) {
+          *error = sim::DsaError(sim::DsaErrorCode::kStaleResume,
+                                 "journal " + path + " was recorded by " +
+                                     recorded + ", this binary is " +
+                                     std::string(sim::kEngineVersion))
+                       .what();
         }
         return false;
       }
@@ -528,6 +548,7 @@ bool Journal::Open(const std::string& path, const JournalOptions& opts,
     std::string header = "{";
     PutStr(header, "kind", "meta");
     PutStr(header, "schema", kJournalSchema);
+    PutStr(header, "engine", std::string(sim::kEngineVersion));
     CloseObj(header);
     AppendLine(header);
   }

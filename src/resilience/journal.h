@@ -1,10 +1,11 @@
 // Crash-safe run journal: an append-only, CRC-framed JSONL file recording
-// every completed cell of a batch (key, output digest, full deterministic
-// stats). A killed run resumes by replaying the journal — completed cells
-// are restored into the BatchRunner without re-executing, and the merged
-// bench report is bit-identical (per-cell digests and stats) to an
-// uninterrupted run. Format, fsync policy and the torn-tail truncation
-// rules are documented in docs/RESILIENCE.md.
+// every completed cell of a batch (key, config digest, output digest, full
+// deterministic stats) under a header naming the engine version. A killed
+// run resumes by replaying the journal — completed cells are restored
+// into the BatchRunner without re-executing, and the merged bench report
+// is bit-identical (per-cell digests and stats) to an uninterrupted run.
+// Format, fsync policy and the torn-tail truncation rules are documented
+// in docs/RESILIENCE.md.
 //
 // Framing: each line is `CCCCCCCC <json>\n` where CCCCCCCC is the
 // lowercase CRC-32 (IEEE, zlib polynomial) of the JSON payload bytes in
@@ -67,7 +68,9 @@ struct ReplayResult {
 };
 
 // Replays `path`. A missing file is not an error (empty ReplayResult);
-// an unreadable file or a bad header returns false with `error` filled.
+// an unreadable file or a bad header returns false with `error` filled —
+// a header from another engine version as a [stale-resume] DsaError
+// message.
 [[nodiscard]] bool ReplayJournal(const std::string& path, ReplayResult& out,
                                  std::string* error = nullptr);
 

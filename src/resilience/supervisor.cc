@@ -1,6 +1,7 @@
 #include "resilience/supervisor.h"
 
 #include <csignal>
+#include <cstdio>
 #include <cstdlib>
 #include <utility>
 
@@ -107,6 +108,20 @@ void Supervisor::Attach(sim::RunnerOptions& ro) {
     ro.restore_fn = [this](const std::string& key, sim::JobOutcome& out) {
       const auto it = replay_.cells.find(key);
       if (it == replay_.cells.end()) return false;
+      // The runner hands in the digest of the config this run submits the
+      // cell under; a cell journaled under another config is not what
+      // this run would compute.
+      if (it->second.config_digest != out.config_digest) {
+        char digests[64];
+        std::snprintf(digests, sizeof(digests), "%016llx vs %016llx",
+                      static_cast<unsigned long long>(
+                          it->second.config_digest),
+                      static_cast<unsigned long long>(out.config_digest));
+        throw sim::DsaError(sim::DsaErrorCode::kStaleResume,
+                            "cell " + key + " in " + opts_.resume_path +
+                                " was recorded under another config (" +
+                                digests + "); resume refused");
+      }
       out = it->second;
       return true;
     };

@@ -2,7 +2,8 @@
 // BatchRunner resilient. It composes the four resilience pieces
 // (docs/RESILIENCE.md) behind the runner's existing seams:
 //   - process isolation  -> wraps RunnerOptions::run_fn (isolate.h)
-//   - crash-safe journal -> restore_fn (resume replay) + on_outcome
+//   - crash-safe journal -> restore_fn (resume replay; a cell recorded
+//     under another config throws a kStaleResume DsaError) + on_outcome
 //     (append each completed cell)                      (journal.h)
 //   - circuit breaker    -> fail-fast inside the wrapped run_fn
 //                                                       (breaker.h)

@@ -28,36 +28,7 @@ namespace dsa::serve {
 
 namespace {
 
-// FNV-1a, 64-bit: the repo's digest primitive (the output-digest oracle
-// uses the same construction), here accumulated field-by-field so the
-// hash is a pure function of declared content, never of padding.
-struct Fnv1a {
-  std::uint64_t h = 1469598103934665603ull;
-
-  void Bytes(const void* data, std::size_t len) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    for (std::size_t i = 0; i < len; ++i) {
-      h ^= p[i];
-      h *= 1099511628211ull;
-    }
-  }
-  void U64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      h ^= (v >> (i * 8)) & 0xFF;
-      h *= 1099511628211ull;
-    }
-  }
-  void I64(std::int64_t v) { U64(static_cast<std::uint64_t>(v)); }
-  void F64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    U64(bits);
-  }
-  void Str(std::string_view s) {
-    U64(s.size());
-    Bytes(s.data(), s.size());
-  }
-};
+using sim::Fnv1a;
 
 void HashProgram(Fnv1a& f, const prog::Program& p) {
   f.U64(p.size());
@@ -180,88 +151,6 @@ std::uint64_t WorkloadDigest(const sim::Workload& wl) {
   mem::Memory m(wl.mem_bytes);
   if (wl.init) wl.init(m);
   f.Bytes(m.data(), m.size());
-  return f.h;
-}
-
-std::uint64_t ConfigDigest(const sim::SystemConfig& cfg) {
-  Fnv1a f;
-  // cpu::TimingConfig
-  f.U64(cfg.timing.superscalar_width);
-  f.U64(cfg.timing.branch_mispredict_penalty);
-  f.U64(cfg.timing.int_mul_extra);
-  f.U64(cfg.timing.int_div_extra);
-  f.U64(cfg.timing.fp_extra);
-  f.U64(cfg.timing.fp_div_extra);
-  f.U64(cfg.timing.neon.alu_latency);
-  f.U64(cfg.timing.neon.mul_latency);
-  f.U64(cfg.timing.neon.mem_latency);
-  f.U64(cfg.timing.neon.lane_move);
-  f.U64(cfg.timing.neon.pipeline_fill);
-  // mem::Hierarchy::Config
-  for (const auto& c : {cfg.memory.l1, cfg.memory.l2}) {
-    f.U64(c.size_bytes);
-    f.U64(c.line_bytes);
-    f.U64(c.ways);
-    f.U64(c.hit_latency);
-  }
-  f.U64(cfg.memory.dram_latency);
-  f.U64(cfg.memory.next_line_prefetch ? 1 : 0);
-  // engine::DsaConfig
-  f.U64(cfg.dsa.dsa_cache_bytes);
-  f.U64(cfg.dsa.dsa_cache_entry_bytes);
-  f.U64(cfg.dsa.verification_cache_bytes);
-  f.U64(cfg.dsa.verification_entry_bytes);
-  f.U64(cfg.dsa.array_maps);
-  f.U64(cfg.dsa.neon_regs);
-  f.U64(cfg.dsa.trace_capacity);
-  f.U64(cfg.dsa.enable_conditional_loops ? 1 : 0);
-  f.U64(cfg.dsa.enable_sentinel_loops ? 1 : 0);
-  f.U64(cfg.dsa.enable_dynamic_range_loops ? 1 : 0);
-  f.U64(cfg.dsa.enable_partial_vectorization ? 1 : 0);
-  f.U64(cfg.dsa.enable_loop_fusion ? 1 : 0);
-  f.U64(cfg.dsa.enable_cidp ? 1 : 0);
-  f.U64(cfg.dsa.pipeline_flush_latency);
-  f.U64(cfg.dsa.dsa_cache_access_latency);
-  f.U64(cfg.dsa.verification_cache_access_latency);
-  f.U64(cfg.dsa.array_map_access_latency);
-  f.U64(cfg.dsa.partial_window_resync_latency);
-  f.U64(cfg.dsa.speculative_select_latency);
-  f.U64(cfg.dsa.blacklist_strikes);
-  f.U64(cfg.dsa.rollback_penalty);
-  f.U64(cfg.dsa.guard_margin_iterations);
-  // energy::EnergyParams
-  f.F64(cfg.energy.scalar_instr);
-  f.F64(cfg.energy.mem_instr_extra);
-  f.F64(cfg.energy.branch_extra);
-  f.F64(cfg.energy.mispredict_flush);
-  f.F64(cfg.energy.vector_instr);
-  f.F64(cfg.energy.l1_access);
-  f.F64(cfg.energy.l2_access);
-  f.F64(cfg.energy.dram_access);
-  f.F64(cfg.energy.core_static);
-  f.F64(cfg.energy.neon_static);
-  f.F64(cfg.energy.dsa_static);
-  f.F64(cfg.energy.dsa_analysis_per_instr);
-  f.F64(cfg.energy.dsa_cache_access);
-  f.F64(cfg.energy.vc_access);
-  f.F64(cfg.energy.array_map_access);
-  // trace::TraceConfig — enabled changes the RunResult payload (trace
-  // aggregates), so traced and untraced cells never alias.
-  f.U64(cfg.trace.enabled ? 1 : 0);
-  f.U64(cfg.trace.capacity);
-  // fault::FaultPlan
-  f.U64(cfg.faults.specs.size());
-  for (const auto& spec : cfg.faults.specs) {
-    f.I64(static_cast<std::int64_t>(spec.kind));
-    f.U64(spec.trigger);
-    f.U64(spec.count);
-  }
-  f.U64(cfg.faults.seed);
-  f.U64(cfg.faults.seed_explicit ? 1 : 0);
-  // harness knobs
-  f.U64(cfg.max_steps);
-  f.U64(cfg.reference_path ? 1 : 0);
-  f.I64(static_cast<std::int64_t>(cfg.dispatch));
   return f.h;
 }
 

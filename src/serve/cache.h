@@ -21,15 +21,16 @@
 #include <string>
 #include <string_view>
 
+#include "sim/digest.h"
 #include "sim/runner.h"
 
 namespace dsa::serve {
 
-// Version labels baked into every cache key. Bump kEngineVersion on any
-// change that can alter simulated results (timing, energy, engine
-// behaviour); kBenchSchema tracks the serialized-outcome contract
-// (docs/BENCH_SCHEMA.md) and must match the schema WriteBenchJson emits.
-inline constexpr std::string_view kEngineVersion = "dsa-engine/9";
+// Version labels baked into every cache key. kEngineVersion (sim/digest.h)
+// tracks the simulated model; kBenchSchema tracks the serialized-outcome
+// contract (docs/BENCH_SCHEMA.md) and must match the schema WriteBenchJson
+// emits.
+using sim::kEngineVersion;
 inline constexpr std::string_view kBenchSchema = "dsa-bench-json/6";
 inline constexpr std::string_view kCacheEntrySchema = "dsa-serve-cache/1";
 
@@ -40,11 +41,8 @@ inline constexpr std::string_view kCacheEntrySchema = "dsa-serve-cache/1";
 // equal digests run the same simulation.
 [[nodiscard]] std::uint64_t WorkloadDigest(const sim::Workload& wl);
 
-// FNV-1a 64-bit digest over every SystemConfig field the simulation
-// reads (timing, memory hierarchy, DSA structures/features/latencies,
-// energy parameters, fault plan, step budget, reference path, dispatch
-// engine, trace enablement).
-[[nodiscard]] std::uint64_t ConfigDigest(const sim::SystemConfig& cfg);
+// FNV-1a 64-bit digest of every SystemConfig field the simulation reads.
+using sim::ConfigDigest;
 
 struct CacheKey {
   std::string job_key;  // "name[#wtag]@mode[/ctag]" (sim::JobKey)

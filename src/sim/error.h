@@ -39,6 +39,10 @@ enum class DsaErrorCode : std::uint8_t {
   // miss), but the failure is typed so nothing claims durability it did
   // not deliver.
   kIoFault,
+  // A resume journal was recorded under a different engine version or
+  // SystemConfig than the run resuming from it: its cells are not what
+  // this binary and config would compute, so the resume is refused.
+  kStaleResume,
 };
 
 [[nodiscard]] constexpr std::string_view ToString(DsaErrorCode c) {
@@ -54,6 +58,7 @@ enum class DsaErrorCode : std::uint8_t {
     case DsaErrorCode::kBreakerOpen: return "breaker-open";
     case DsaErrorCode::kOverload: return "overload";
     case DsaErrorCode::kIoFault: return "io-fault";
+    case DsaErrorCode::kStaleResume: return "stale-resume";
   }
   return "?";
 }

@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "sim/digest.h"
 #include "sim/error.h"
 
 namespace dsa::sim {
@@ -75,6 +76,7 @@ std::string BatchRunner::Submit(BatchJob job) {
     // Resume seam: a journaled cell is answered without executing. The
     // restore callback fills the full outcome (runs, stats, status), so
     // downstream consumers cannot tell it apart from a fresh execution.
+    pending->outcome.config_digest = ConfigDigest(pending->job.config);
     if (opts_.restore_fn) {
       JobOutcome& out = pending->outcome;
       if (opts_.restore_fn(key, out)) {
@@ -154,6 +156,7 @@ void ExecuteCell(const BatchJob& job, const RunnerOptions& opts,
   out.workload_key = WorkloadKey(job);
   out.mode = job.mode;
   out.config_tag = job.config_tag;
+  out.config_digest = ConfigDigest(job.config);
 
   // Watchdog: cap the cell's interpreter step budget so a runaway loop
   // trips DsaError{kStepLimit} instead of wedging the worker thread.

@@ -68,6 +68,10 @@ struct JobOutcome {
   // True when the outcome was replayed from a crash-safe journal instead
   // of executed in this process (RunnerOptions::restore_fn).
   bool restored = false;
+  // ConfigDigest (sim/digest.h) of the config the cell runs under. Set on
+  // submission, before restore_fn sees the outcome, so a restorer can
+  // refuse a result that was recorded under a different config.
+  std::uint64_t config_digest = 0;
 
   [[nodiscard]] const RunResult& result() const { return runs.at(0); }
 };

@@ -67,82 +67,6 @@ std::uint64_t DigestOutputs(const Workload& wl, const mem::Memory& memory) {
   return h;
 }
 
-// Executes the covered region of a takeover: the remaining loop iterations
-// run functionally on the scalar interpreter while their issue bandwidth
-// and non-memory stalls are retro-charged as vector execution by
-// DsaEngine::FinishTakeover (the paper's timing-model replacement).
-// Reference-path twin of cpu::Cpu::RunCovered (which the fast DSA loop
-// uses); kept verbatim so --reference exercises the pre-optimization code.
-struct CoveredDelta {
-  std::uint64_t iterations = 0;
-  std::uint64_t retired = 0;
-  std::uint64_t glue_instrs = 0;  // fused nests: scalar glue around the
-                                  // vectorized inner loop
-  bool fused_glue_store = false;  // fusion assumption violated mid-run
-};
-
-CoveredDelta RunCovered(cpu::Cpu& cpu, const TakeoverPlan& plan) {
-  const std::uint32_t start = plan.coverage_start;
-  const std::uint32_t latch = plan.coverage_latch;
-  const std::uint32_t inner_start = plan.record.body.start_pc;
-  const std::uint32_t inner_latch = plan.record.body.latch_pc;
-
-  const bool fused = start != inner_start || latch != inner_latch;
-  const cpu::CpuStats before = cpu.stats();
-  CoveredDelta d;
-  int depth = 0;
-  while (!cpu.halted()) {
-    // Peek: stop when control has left the covered region (function calls
-    // inside the body keep the coverage alive through `depth`).
-    const std::uint32_t pc = cpu.state().pc;
-    if (depth == 0 && (pc < start || pc > latch)) break;
-
-    const cpu::Retired r = cpu.Step();
-    if (r.instr == nullptr) break;
-    if (r.instr->op == isa::Opcode::kBl) ++depth;
-    if (r.instr->op == isa::Opcode::kRet) --depth;
-
-    if (fused && (r.pc < inner_start || r.pc > inner_latch)) {
-      ++d.glue_instrs;
-      if (r.mem_is_write) {
-        // A store between the loops: the Fig. 17 "nothing but glue"
-        // assumption does not hold after all. End the fused coverage and
-        // let the engine demote the fusion record.
-        d.fused_glue_store = true;
-        break;
-      }
-    }
-
-    if (r.pc == plan.count_latch && r.instr->op == isa::Opcode::kB) {
-      ++d.iterations;
-      if (r.pc == latch && !r.branch_taken) break;
-      if (plan.max_iterations != 0 && d.iterations >= plan.max_iterations) {
-        break;  // sentinel: speculated range exhausted, back to scalar
-      }
-    }
-  }
-
-  cpu::CpuStats& s = cpu.stats();
-  const std::uint64_t d_issue = s.issue_slots - before.issue_slots;
-  const std::uint64_t d_other =
-      s.other_stall_cycles - before.other_stall_cycles;
-  const std::uint64_t d_retired = s.retired_total - before.retired_total;
-  const std::uint64_t d_branches = s.branches - before.branches;
-  const std::uint64_t d_mispred = s.mispredicts - before.mispredicts;
-
-  // Remove the scalar cost of the covered instructions; keep memory stalls
-  // (the same lines move under vector execution).
-  s.issue_slots -= d_issue;
-  s.other_stall_cycles -= d_other;
-  s.retired_total -= d_retired;
-  s.retired_scalar -= d_retired;
-  s.branches -= d_branches;
-  s.mispredicts -= d_mispred;
-
-  d.retired = d_retired;
-  return d;
-}
-
 // Phase stopwatch (RunResult::HostPhases): charges the tsc span [t0, now)
 // minus the cache-walk tsc accrued inside it — the walks are owned by the
 // mem bucket — to `bucket`. Clamped defensively: a core migration can skew
@@ -216,8 +140,7 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
   // reference path: its per-access walks would pay one tsc read each,
   // and reference runs report their whole loop under dispatch anyway.
   hierarchy.set_time_walks(!cfg.reference_path);
-  cpu::Cpu cpu(*program, memory, hierarchy, cfg.timing, cfg.reference_path,
-               cfg.dispatch);
+  cpu::Cpu cpu(*program, memory, hierarchy, cfg.timing, cfg.reference_path);
 
   std::optional<engine::DsaEngine> engine;
   std::optional<fault::FaultInjector> injector;
@@ -252,6 +175,16 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
                   tracer.has_value() ? &*tracer : nullptr);
   }
 
+  // Covered region of a takeover: the remaining loop iterations run
+  // functionally on the interpreter while their issue bandwidth and
+  // non-memory stalls are retro-charged as vector execution by
+  // DsaEngine::FinishTakeover (the paper's timing-model replacement).
+  const auto run_covered = [&cpu](const TakeoverPlan& plan) {
+    return cpu.RunCovered(plan.coverage_start, plan.coverage_latch,
+                          plan.record.body.start_pc, plan.record.body.latch_pc,
+                          plan.count_latch, plan.max_iterations);
+  };
+
   std::uint64_t steps = 0;
   // Host phase buckets (RunResult::HostPhases), in raw tsc ticks; converted
   // to ms at the end against the run's own tsc/wall ratio. The spans are
@@ -278,21 +211,14 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
     } else if (!per_step) {
       // DSA fast loop: while the engine is idle, run unobserved up to the
       // next retire its filter cares about; per-step only while a tracker
-      // is analyzing a loop body.
-      //
-      // On the threaded core the engine's observation-relevance classes —
-      // re-filled lazily whenever its epoch moves — replace the coarse
-      // pc-window watch entirely (watch=false): the per-slot classes are
-      // strictly finer, and the window would force an exit at every cooled
-      // latch the classes prove inert. The switch core has no slot stream
-      // to hold classes, so it keeps the window filter.
-      const bool threaded_fast =
-          cpu.dispatch() == cpu::DispatchMode::kThreaded;
+      // is analyzing a loop body. The filter is the engine's
+      // observation-relevance classes, re-filled lazily whenever its epoch
+      // moves.
       std::uint64_t obs_epoch = 0;  // engine epochs start at 1: always fill
       while (!cpu.halted()) {
         cpu::Retired r;
         if (engine->idle()) {
-          if (threaded_fast && engine->observe_epoch() != obs_epoch) {
+          if (engine->observe_epoch() != obs_epoch) {
             const std::uint64_t t0 = mem::HostTsc();
             engine->FillObserveClasses(cpu);
             obs_epoch = engine->observe_epoch();
@@ -301,10 +227,7 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
           std::uint64_t skipped = 0;
           const std::uint64_t w0 = hierarchy.walk_tsc();
           const std::uint64_t t0 = mem::HostTsc();
-          r = cpu.RunToInteresting(!threaded_fast && engine->has_cooldowns(),
-                                   engine->cooldown_window_lo(),
-                                   engine->cooldown_window_hi(), cfg.max_steps,
-                                   steps, skipped);
+          r = cpu.RunToInteresting(cfg.max_steps, steps, skipped);
           ChargePhase(tsc_dispatch, t0, w0, hierarchy);
           if (skipped != 0) engine->ObserveSkipped(skipped);
           if (steps > cfg.max_steps) ThrowStepLimit(wl, cpu, steps);
@@ -326,10 +249,7 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
           const std::uint64_t w0 = hierarchy.walk_tsc();
           const std::uint64_t t0 = mem::HostTsc();
           if (guard.has_value()) guard->Arm(*plan, cpu);
-          const cpu::Cpu::CoveredOutcome d = cpu.RunCovered(
-              plan->coverage_start, plan->coverage_latch,
-              plan->record.body.start_pc, plan->record.body.latch_pc,
-              plan->count_latch, plan->max_iterations);
+          const cpu::Cpu::CoveredOutcome d = run_covered(*plan);
           if (guard.has_value() &&
               guard->CheckAfterCovered(*plan, cpu, d.iterations)) {
             guard->Rollback(cpu);
@@ -372,7 +292,7 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
                            plan->max_iterations);
             }
             if (guard.has_value()) guard->Arm(*plan, cpu);
-            const CoveredDelta d = RunCovered(cpu, *plan);
+            const cpu::Cpu::CoveredOutcome d = run_covered(*plan);
             if (tracer.has_value()) tracer->SetNow(cpu.Cycles());
             if (guard.has_value() &&
                 guard->CheckAfterCovered(*plan, cpu, d.iterations)) {
@@ -431,12 +351,14 @@ RunResult Run(const Workload& wl, RunMode mode, const SystemConfig& cfg) {
         static_cast<double>(hierarchy.walk_tsc()) * ms_per_tick;
   }
   res.host_steps = cpu.host_steps();
-  // Report what actually ran: reference and traced runs execute the
-  // per-step switch core regardless of the configured dispatch mode.
-  res.host_dispatch = (!cfg.reference_path && !tracer.has_value() &&
-                       cpu.dispatch() == cpu::DispatchMode::kThreaded)
-                          ? cpu::DispatchMode::kThreaded
-                          : cpu::DispatchMode::kSwitch;
+  // Report the core that ran the covered regions: threaded off the
+  // reference path, traced DSA runs included (only their observed retires
+  // go per step). "switch" means every retire took the per-step core:
+  // reference runs, and traced runs without a DSA engine.
+  res.host_dispatch =
+      (cfg.reference_path || (tracer.has_value() && !engine.has_value()))
+          ? cpu::DispatchMode::kSwitch
+          : cpu::DispatchMode::kThreaded;
   res.cycles = cpu.Cycles();
   res.cpu = cpu.stats();
   res.l1 = hierarchy.l1().stats();

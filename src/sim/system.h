@@ -10,6 +10,7 @@
 #include <string>
 
 #include "cpu/cpu.h"
+#include "cpu/dispatch.h"
 #include "energy/energy_model.h"
 #include "engine/config.h"
 #include "engine/engine.h"
@@ -62,9 +63,11 @@ struct RunResult {
   // determinism oracle and never part of FormatReport.
   std::uint64_t host_steps = 0;
   double host_wall_ms = 0.0;
-  // Interpreter core the batched loops actually ran on ("threaded" or
-  // "switch"; reference runs always report "switch"). Host metadata like
-  // host_steps: surfaced in the bench JSON host block, never compared.
+  // Interpreter core that ran the covered regions: "threaded" off the
+  // reference path (traced DSA runs included), "switch" when every retire
+  // took the per-step core (reference runs, traced runs without the
+  // engine). Host metadata like host_steps: surfaced in the bench JSON host
+  // block, never compared.
   cpu::DispatchMode host_dispatch = cpu::DispatchMode::kSwitch;
   // Millions of simulated instructions per host second.
   [[nodiscard]] double host_mips() const;
@@ -123,11 +126,6 @@ struct SystemConfig {
   // gating). Every simulated stat is bit-identical to the default fast
   // path; tests/test_reference_path.cc asserts it on every workload.
   bool reference_path = false;
-  // Interpreter core for the batched run loops: the predecoded
-  // threaded-code engine (default) or the PR-3 decode-switch twin.
-  // Simulated results are bit-identical either way (docs/DISPATCH.md,
-  // tests/test_dispatch.cc); ignored when reference_path is set.
-  cpu::DispatchMode dispatch = cpu::DispatchMode::kThreaded;
 };
 
 // Runs one workload variant end to end.

@@ -1,20 +1,22 @@
-// Switch vs threaded dispatch twins: SystemConfig::dispatch selects the
-// batched-loop interpreter core — the PR-3 decode-switch or the predecoded
-// threaded-code engine (docs/DISPATCH.md). Every simulated stat must be
-// bit-identical across the twins; only host wall time may differ. This
-// suite is the fine-grained companion to the bench oracle's differential
-// gate: full workload x mode matrix, streaming and generated programs,
-// faulted and traced runs, plus direct-Cpu superinstruction tests (fused
-// pair semantics == the unfused sequence, including budget exhaustion at
-// a pair midpoint and branches into a pair's second member).
+// Threaded core vs the per-step reference twin: the fast path runs every
+// batched loop — fused-nest takeovers included — on the predecoded
+// threaded-code engine, while `reference_path` retires each instruction
+// through the per-step decode switch (docs/DISPATCH.md). Every simulated
+// stat must be bit-identical across the twins; only host wall time may
+// differ. This suite is the fine-grained companion to the bench oracle's
+// differential gate: streaming and generated programs, faulted and traced
+// runs (the named workload x mode matrix and the Original-config runs are
+// in test_reference_path.cc), direct-Cpu superinstruction tests
+// (fused pair semantics == the unfused sequence, including budget
+// exhaustion at a pair midpoint and branches into a pair's second
+// member), and direct-Cpu covered runs of hand-assembled fused nests.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
-#include <vector>
 
 #include "cpu/cpu.h"
-#include "engine/config.h"
 #include "fault/fault.h"
 #include "prog/assembler.h"
 #include "sim/report.h"
@@ -30,15 +32,8 @@ using cpu::DispatchMode;
 using isa::Cond;
 using isa::Opcode;
 using prog::Assembler;
-using workloads::MakeBitCount;
-using workloads::MakeDijkstra;
 using workloads::MakeGaussian;
 using workloads::MakeMatMul;
-using workloads::MakeQSort;
-using workloads::MakeRgbGray;
-using workloads::MakeShiftAdd;
-using workloads::MakeStrCopy;
-using workloads::MakeSusanE;
 using workloads::MakeVecAdd;
 
 // ---- system-level identity -----------------------------------------------
@@ -46,9 +41,8 @@ using workloads::MakeVecAdd;
 void ExpectTwinsIdentical(const Workload& wl, RunMode mode,
                           const SystemConfig& base_cfg = {}) {
   SystemConfig sw_cfg = base_cfg;
-  sw_cfg.dispatch = DispatchMode::kSwitch;
-  SystemConfig th_cfg = base_cfg;
-  th_cfg.dispatch = DispatchMode::kThreaded;
+  sw_cfg.reference_path = true;
+  const SystemConfig& th_cfg = base_cfg;
 
   const RunResult sw = Run(wl, mode, sw_cfg);
   const RunResult th = Run(wl, mode, th_cfg);
@@ -65,45 +59,10 @@ void ExpectTwinsIdentical(const Workload& wl, RunMode mode,
   EXPECT_EQ(FormatReport(sw), FormatReport(th)) << tag;
 }
 
-std::vector<Workload> SmallMatrix() {
-  // Same small sizes as test_reference_path.cc: cheap doubled runs that
-  // still exercise vector leftovers, takeovers and cooldowns.
-  std::vector<Workload> wls;
-  wls.push_back(MakeVecAdd(257));
-  wls.push_back(MakeMatMul(16));
-  wls.push_back(MakeRgbGray(1000));
-  wls.push_back(MakeGaussian(32, 24));
-  wls.push_back(MakeSusanE(2048));
-  wls.push_back(MakeQSort(512));
-  wls.push_back(MakeDijkstra(24));
-  wls.push_back(MakeBitCount(1024));
-  wls.push_back(MakeStrCopy(500));
-  wls.push_back(MakeShiftAdd(512, 4));
-  return wls;
-}
-
-TEST(Dispatch, AllWorkloadsAllModesBitIdentical) {
-  for (const Workload& wl : SmallMatrix()) {
-    for (const RunMode m : {RunMode::kScalar, RunMode::kAutoVec,
-                            RunMode::kHandVec, RunMode::kDsa}) {
-      ExpectTwinsIdentical(wl, m);
-    }
-  }
-}
-
 TEST(Dispatch, StreamingWorkloadsBitIdentical) {
   for (const Workload& wl : workloads::StreamingSet()) {
     ExpectTwinsIdentical(wl, RunMode::kScalar);
     ExpectTwinsIdentical(wl, RunMode::kDsa);
-  }
-}
-
-TEST(Dispatch, DsaOriginalConfigBitIdentical) {
-  SystemConfig cfg;
-  cfg.dsa = engine::DsaConfig::Original();
-  for (const Workload& wl :
-       {MakeVecAdd(257), MakeMatMul(16), MakeRgbGray(1000)}) {
-    ExpectTwinsIdentical(wl, RunMode::kDsa, cfg);
   }
 }
 
@@ -127,20 +86,20 @@ TEST(Dispatch, GeneratorSweep64SeedsBitIdentical) {
 }
 
 TEST(Dispatch, TraceEventStreamsIdentical) {
-  // Traced runs execute the per-step switch core regardless of the
-  // configured mode (docs/DISPATCH.md carve-outs), so the event streams
-  // must match field for field — and both results must report the core
-  // that actually ran.
-  SystemConfig sw_cfg;
-  sw_cfg.trace.enabled = true;
-  sw_cfg.dispatch = DispatchMode::kSwitch;
-  SystemConfig th_cfg = sw_cfg;
-  th_cfg.dispatch = DispatchMode::kThreaded;
+  // Traced runs retire their observed instructions through the per-step
+  // loop and, off the reference path, run covered regions on the threaded
+  // core, so the event streams of a traced fast run and a traced
+  // reference run must match field for field — and each result must
+  // report the core that ran its covered regions.
+  SystemConfig th_cfg;
+  th_cfg.trace.enabled = true;
+  SystemConfig sw_cfg = th_cfg;
+  sw_cfg.reference_path = true;
 
   const RunResult sw = sim::Run(MakeVecAdd(257), RunMode::kDsa, sw_cfg);
   const RunResult th = sim::Run(MakeVecAdd(257), RunMode::kDsa, th_cfg);
   EXPECT_EQ(sw.host_dispatch, DispatchMode::kSwitch);
-  EXPECT_EQ(th.host_dispatch, DispatchMode::kSwitch);
+  EXPECT_EQ(th.host_dispatch, DispatchMode::kThreaded);
 
   ASSERT_NE(sw.trace, nullptr);
   ASSERT_NE(th.trace, nullptr);
@@ -163,30 +122,45 @@ TEST(Dispatch, TraceEventStreamsIdentical) {
 
 TEST(Dispatch, HostDispatchReportsWhatRan) {
   const Workload wl = MakeVecAdd(257);
-
-  SystemConfig th_cfg;
-  th_cfg.dispatch = DispatchMode::kThreaded;
-  EXPECT_EQ(sim::Run(wl, RunMode::kDsa, th_cfg).host_dispatch,
+  EXPECT_EQ(sim::Run(wl, RunMode::kDsa, {}).host_dispatch,
             DispatchMode::kThreaded);
 
-  SystemConfig sw_cfg;
-  sw_cfg.dispatch = DispatchMode::kSwitch;
-  EXPECT_EQ(sim::Run(wl, RunMode::kDsa, sw_cfg).host_dispatch,
-            DispatchMode::kSwitch);
-
-  // Reference runs always execute the per-step switch core, whatever the
-  // configured dispatch mode says.
-  SystemConfig ref_cfg = th_cfg;
+  // Reference runs retire everything through the per-step switch core.
+  SystemConfig ref_cfg;
   ref_cfg.reference_path = true;
   EXPECT_EQ(sim::Run(wl, RunMode::kDsa, ref_cfg).host_dispatch,
             DispatchMode::kSwitch);
+
+  // A traced DSA run observes per step but runs its takeovers threaded;
+  // a traced run without the engine has no covered region and retires
+  // everything per step.
+  SystemConfig traced_cfg;
+  traced_cfg.trace.enabled = true;
+  const RunResult traced = sim::Run(wl, RunMode::kDsa, traced_cfg);
+  ASSERT_TRUE(traced.dsa.has_value());
+  EXPECT_GT(traced.dsa->takeovers, 0u);
+  EXPECT_EQ(traced.host_dispatch, DispatchMode::kThreaded);
+  EXPECT_EQ(sim::Run(wl, RunMode::kScalar, traced_cfg).host_dispatch,
+            DispatchMode::kSwitch);
+}
+
+TEST(Dispatch, FusedNestCellsRunThreaded) {
+  // MM and Gaussian are vectorized through Fig. 17 fused nests; their
+  // covered regions run on the threaded core, so the cell reports it.
+  for (const Workload& wl : {MakeMatMul(16), MakeGaussian(32, 24)}) {
+    const RunResult r = sim::Run(wl, RunMode::kDsa, {});
+    ASSERT_TRUE(r.dsa.has_value()) << wl.name;
+    EXPECT_GT(r.dsa->fusions_formed, 0u) << wl.name;
+    EXPECT_EQ(r.host_dispatch, DispatchMode::kThreaded) << wl.name;
+  }
 }
 
 // ---- superinstruction fusion, direct Cpu ---------------------------------
 
 // Two CPUs over the same program with separate (identically seeded)
-// memories: one per dispatch twin. Comparisons cover architectural state,
-// every CpuStats counter, the cycle model, and memory contents.
+// memories: `sw` is the per-step reference twin, `th` the threaded core.
+// Comparisons cover architectural state, every CpuStats counter, the
+// cycle model, cache statistics and memory contents.
 struct TwinRig {
   explicit TwinRig(prog::Program p, std::size_t mem = 1 << 16)
       : program(std::move(p)),
@@ -194,8 +168,8 @@ struct TwinRig {
         mem_th(mem),
         hier_sw(mem::Hierarchy::Config{}),
         hier_th(mem::Hierarchy::Config{}),
-        sw(program, mem_sw, hier_sw, {}, false, DispatchMode::kSwitch),
-        th(program, mem_th, hier_th, {}, false, DispatchMode::kThreaded) {}
+        sw(program, mem_sw, hier_sw, {}, /*reference_path=*/true),
+        th(program, mem_th, hier_th, {}, /*reference_path=*/false) {}
 
   void Seed32(std::uint32_t addr, std::uint32_t v) {
     mem_sw.Write32(addr, v);
@@ -236,6 +210,11 @@ struct TwinRig {
     EXPECT_EQ(a.neon_busy_cycles, b.neon_busy_cycles) << tag;
     EXPECT_EQ(a.dsa_overhead_cycles, b.dsa_overhead_cycles) << tag;
     EXPECT_EQ(sw.Cycles(), th.Cycles()) << tag;
+    EXPECT_EQ(hier_sw.l1().stats().hits, hier_th.l1().stats().hits) << tag;
+    EXPECT_EQ(hier_sw.l1().stats().misses, hier_th.l1().stats().misses)
+        << tag;
+    EXPECT_EQ(hier_sw.l2().stats().misses, hier_th.l2().stats().misses)
+        << tag;
     ASSERT_EQ(mem_sw.size(), mem_th.size());
     for (std::uint32_t addr = 0; addr < mem_sw.size(); ++addr) {
       if (mem_sw.Read8(addr) != mem_th.Read8(addr)) {
@@ -405,7 +384,7 @@ TEST(DispatchFusion, BudgetExhaustionSweepStopsAtSamePoint) {
   // exhaustion at every position of the stream, including between the
   // members of a fused pair or triple (the leading members retire,
   // control rests on the next member's plain slot). pc, registers, stats
-  // and cycles must agree with the switch core at every cut point.
+  // and cycles must agree with the reference twin at every cut point.
   for (std::uint64_t budget = 0; budget <= 40; ++budget) {
     TwinRig rig(LatchLoopProgram());
     rig.RunFreeBoth(budget, "budget=" + std::to_string(budget));
@@ -414,6 +393,17 @@ TEST(DispatchFusion, BudgetExhaustionSweepStopsAtSamePoint) {
     TwinRig rig(AluPairProgram());
     rig.RunFreeBoth(budget, "alu budget=" + std::to_string(budget));
   }
+}
+
+TEST(DispatchFusion, RunToInterestingIsFastPathOnly) {
+  // The reference twin observes every retire through Step() and has no
+  // skip loop; a reference-path Cpu refuses the batched entry point.
+  TwinRig rig(LatchLoopProgram());
+  std::uint64_t steps = 0;
+  std::uint64_t skipped = 0;
+  EXPECT_THROW(rig.sw.RunToInteresting(100, steps, skipped),
+               std::logic_error);
+  EXPECT_NE(rig.th.RunToInteresting(100, steps, skipped).instr, nullptr);
 }
 
 TEST(DispatchFusion, BranchIntoPairMiddleExecutesPlainSecondMember) {
@@ -446,14 +436,142 @@ TEST(DispatchFusion, BranchIntoPairMiddleExecutesPlainSecondMember) {
   }
 }
 
-TEST(DispatchFusion, SwitchAndReferenceModesNeverLower) {
-  prog::Program p = AluPairProgram();
-  mem::Memory m(1 << 16);
-  mem::Hierarchy h(mem::Hierarchy::Config{});
-  const cpu::Cpu sw(p, m, h, {}, false, DispatchMode::kSwitch);
-  EXPECT_EQ(sw.fused_pairs(), 0u);
-  const cpu::Cpu ref(p, m, h, {}, true, DispatchMode::kThreaded);
-  EXPECT_EQ(ref.fused_pairs(), 0u);
+// ---- covered takeovers, direct Cpu ---------------------------------------
+
+// A two-level nest: the outer loop (the coverage) wraps an 8-iteration
+// inner summing loop (the vectorized inner body), with glue around it.
+//   glue before the inner loop: movi, then an addi directly in front of
+//     the inner loop's leading cmpi — the addi+cmpi body pair straddles
+//     inner_start;
+//   glue after the inner latch: an optional store, and an optional bl to
+//     a callee outside the coverage (whose own body may store);
+//   the outer latch: an addi+cmpi+b triple.
+struct NestPcs {
+  std::uint32_t outer_start = 0;
+  std::uint32_t inner_start = 0;
+  std::uint32_t inner_latch = 0;
+  std::uint32_t outer_latch = 0;
+};
+
+prog::Program NestProgram(bool glue_store, bool call, bool callee_store,
+                          NestPcs& pcs) {
+  Assembler as;
+  const Assembler::Label outer = as.NewLabel();
+  const Assembler::Label inner = as.NewLabel();
+  const Assembler::Label func = as.NewLabel();
+  as.Bind(outer);
+  pcs.outer_start = static_cast<std::uint32_t>(as.pc());
+  as.Movi(3, 0);                      // glue: inner counter
+  as.AluImm(Opcode::kAddi, 5, 5, 1);  // glue, fused with the next cmpi
+  as.Bind(inner);
+  pcs.inner_start = static_cast<std::uint32_t>(as.pc());
+  as.Cmpi(3, 0);
+  as.Ldr(4, 1, 4);                    // post-increment stream
+  as.Alu(Opcode::kAdd, 6, 6, 4);
+  as.AluImm(Opcode::kAddi, 3, 3, 1);
+  as.Cmpi(3, 8);
+  pcs.inner_latch = static_cast<std::uint32_t>(as.pc());
+  as.B(Cond::kLt, inner);
+  if (glue_store) as.Str(6, 2, 4);
+  if (call) as.Bl(func);
+  as.AluImm(Opcode::kAddi, 8, 8, 1);
+  as.Cmpi(8, 4);
+  pcs.outer_latch = static_cast<std::uint32_t>(as.pc());
+  as.B(Cond::kLt, outer);
+  as.Halt();
+  as.Bind(func);
+  as.AluImm(Opcode::kAddi, 7, 7, 3);
+  if (callee_store) as.Str(7, 2, 4);
+  as.Ret();
+  return as.Finish();
+}
+
+// Runs RunCovered on both twins from the nest's entry and asserts
+// identical outcomes, architectural state, stats and memory.
+cpu::Cpu::CoveredOutcome CoverBoth(TwinRig& rig, std::uint32_t start,
+                                   std::uint32_t latch, const NestPcs& pcs,
+                                   const std::string& tag) {
+  for (cpu::Cpu* c : {&rig.sw, &rig.th}) {
+    c->state().pc = start;
+    c->state().regs[1] = 0x1000;  // load stream
+    c->state().regs[2] = 0x3000;  // store stream
+  }
+  for (std::uint32_t i = 0; i < 64; ++i) rig.Seed32(0x1000 + 4 * i, i + 1);
+  const cpu::Cpu::CoveredOutcome a = rig.sw.RunCovered(
+      start, latch, pcs.inner_start, pcs.inner_latch, pcs.inner_latch, 0);
+  const cpu::Cpu::CoveredOutcome b = rig.th.RunCovered(
+      start, latch, pcs.inner_start, pcs.inner_latch, pcs.inner_latch, 0);
+  EXPECT_EQ(a.iterations, b.iterations) << tag;
+  EXPECT_EQ(a.retired, b.retired) << tag;
+  EXPECT_EQ(a.glue_instrs, b.glue_instrs) << tag;
+  EXPECT_EQ(a.fused_glue_store, b.fused_glue_store) << tag;
+  EXPECT_EQ(rig.sw.host_steps(), rig.th.host_steps()) << tag;
+  rig.ExpectEqual(tag);
+  return b;
+}
+
+TEST(DispatchCovered, FusedNestGluePairStraddlesInnerStart) {
+  NestPcs pcs;
+  TwinRig rig(NestProgram(false, false, false, pcs));
+  const cpu::Cpu::CoveredOutcome d =
+      CoverBoth(rig, pcs.outer_start, pcs.outer_latch, pcs, "straddle");
+  EXPECT_EQ(d.iterations, 32u);
+  // Per outer iteration: movi, addi, and the addi+cmpi+b outer latch.
+  EXPECT_EQ(d.glue_instrs, 4u * 5u);
+  EXPECT_FALSE(d.fused_glue_store);
+  EXPECT_EQ(rig.th.state().pc, pcs.outer_latch + 1);
+  EXPECT_EQ(rig.th.state().regs[6], 32u * 33u / 2u);
+}
+
+TEST(DispatchCovered, FusedNestGlueStoreAfterInnerLatchEndsCoverage) {
+  NestPcs pcs;
+  TwinRig rig(NestProgram(true, false, false, pcs));
+  const cpu::Cpu::CoveredOutcome d =
+      CoverBoth(rig, pcs.outer_start, pcs.outer_latch, pcs, "glue store");
+  EXPECT_EQ(d.iterations, 8u);
+  EXPECT_EQ(d.glue_instrs, 3u);  // movi, addi, the store itself
+  EXPECT_TRUE(d.fused_glue_store);
+  // The store retired (and was rewound like every covered instruction);
+  // control rests right after it.
+  EXPECT_EQ(rig.th.state().pc, pcs.inner_latch + 2);
+  EXPECT_EQ(rig.mem_th.Read32(0x3000), 36u);
+}
+
+TEST(DispatchCovered, FusedNestCallInsideRegionCountsCalleeAsGlue) {
+  NestPcs pcs;
+  TwinRig rig(NestProgram(false, true, false, pcs));
+  const cpu::Cpu::CoveredOutcome d =
+      CoverBoth(rig, pcs.outer_start, pcs.outer_latch, pcs, "call");
+  EXPECT_EQ(d.iterations, 32u);
+  // movi, addi, bl, callee addi + ret, outer addi+cmpi+b.
+  EXPECT_EQ(d.glue_instrs, 4u * 8u);
+  EXPECT_FALSE(d.fused_glue_store);
+  EXPECT_EQ(rig.th.state().regs[7], 12u);
+}
+
+TEST(DispatchCovered, FusedNestStoreInCalleeIsGlueStore) {
+  NestPcs pcs;
+  TwinRig rig(NestProgram(false, true, true, pcs));
+  const cpu::Cpu::CoveredOutcome d =
+      CoverBoth(rig, pcs.outer_start, pcs.outer_latch, pcs, "callee store");
+  EXPECT_TRUE(d.fused_glue_store);
+  EXPECT_EQ(d.iterations, 8u);
+}
+
+TEST(DispatchCovered, PlainTakeoverCallsAreNotGlue) {
+  // Coverage == inner loop: the whole outer body is the covered loop, so
+  // the callee's retires (and its store) are body, not glue.
+  NestPcs pcs;
+  TwinRig rig(NestProgram(false, true, true, pcs));
+  NestPcs plain = pcs;
+  plain.inner_start = pcs.outer_start;
+  plain.inner_latch = pcs.outer_latch;
+  const cpu::Cpu::CoveredOutcome d =
+      CoverBoth(rig, pcs.outer_start, pcs.outer_latch, plain, "plain call");
+  EXPECT_EQ(d.iterations, 4u);
+  EXPECT_EQ(d.glue_instrs, 0u);
+  EXPECT_FALSE(d.fused_glue_store);
+  EXPECT_EQ(rig.th.state().pc, pcs.outer_latch + 1);
 }
 
 }  // namespace

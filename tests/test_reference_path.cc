@@ -43,6 +43,9 @@ void ExpectIdentical(const Workload& wl, RunMode mode,
   EXPECT_EQ(fast.output_ok, ref.output_ok) << tag;
   EXPECT_EQ(fast.cycles, ref.cycles) << tag;
   EXPECT_EQ(fast.output_digest, ref.output_digest) << tag;
+  // Same instruction stream => same interpreter step count, even though
+  // host_steps is host metadata outside the oracle's comparison set.
+  EXPECT_EQ(fast.host_steps, ref.host_steps) << tag;
   // FormatReport covers every simulated stat the report surfaces (CPU
   // counters, cache hits/misses, DRAM, DSA, energy) in one comparison.
   EXPECT_EQ(FormatReport(fast), FormatReport(ref)) << tag;

@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "fault/fault.h"
 #include "resilience/breaker.h"
 #include "resilience/iofault.h"
 #include "resilience/isolate.h"
@@ -301,6 +302,82 @@ TEST(Resume, RestoresJournaledCellsWithoutReexecution) {
     EXPECT_EQ(out.cell_status, "ok") << k;
     EXPECT_EQ(SerializeOutcome(out), serialized[k]) << k;
   }
+  std::remove(path.c_str());
+}
+
+TEST(Resume, RefusesCellsJournaledUnderAnotherConfig) {
+  // The stale-resume defect: a journal written by a clean run, resumed by
+  // a run with a fault plan, used to restore the clean cells as if they
+  // were the faulted run's — Susan E@neon-dsa at 132229 cycles where the
+  // faulted run computes 202732.
+  const std::string path = TempPath("stale_config");
+  std::remove(path.c_str());
+  const Workload wl = workloads::MakeSusanE();
+  SystemConfig faulted;
+  faulted.faults = fault::ParseFaultPlan("lane@0+;seed=7");
+  {
+    SupervisorOptions so;
+    so.journal_path = path;
+    so.install_signal_drain = false;
+    Supervisor sup(so);
+    ASSERT_TRUE(sup.Init());
+    RunnerOptions o;
+    o.jobs = 1;
+    o.repeats = 1;
+    sup.Attach(o);
+    BatchRunner runner(o);
+    const std::string key = runner.Submit(wl, RunMode::kDsa, {});
+    EXPECT_EQ(runner.Result(key).cycles, 132229u);
+    ASSERT_TRUE(runner.Finish().ok());
+  }
+  EXPECT_EQ(sim::Run(wl, RunMode::kDsa, faulted).cycles, 202732u);
+
+  SupervisorOptions so;
+  so.resume_path = path;
+  so.install_signal_drain = false;
+  Supervisor sup(so);
+  ASSERT_TRUE(sup.Init());
+  RunnerOptions o;
+  o.jobs = 1;
+  o.repeats = 1;
+  sup.Attach(o);
+  BatchRunner runner(o);
+  try {
+    (void)runner.Submit(wl, RunMode::kDsa, faulted);
+    ADD_FAILURE() << "stale cell was restored";
+  } catch (const sim::DsaError& e) {
+    EXPECT_EQ(e.code(), sim::DsaErrorCode::kStaleResume);
+    EXPECT_NE(std::string(e.what()).find("[stale-resume]"), std::string::npos);
+  }
+  // The config the journal was written under still resumes.
+  EXPECT_EQ(runner.Result(runner.Submit(wl, RunMode::kDsa, {})).cycles,
+            132229u);
+  EXPECT_EQ(runner.Finish().restored_cells, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(Resume, RefusesJournalFromAnotherEngineVersion) {
+  const std::string path = TempPath("stale_engine");
+  const std::string payload =
+      "{\"kind\":\"meta\",\"schema\":\"dsa-journal/2\","
+      "\"engine\":\"dsa-engine/0\"}";
+  char crc[10];
+  std::snprintf(crc, sizeof(crc), "%08x ",
+                Crc32(payload.data(), payload.size()));
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << crc << payload << "\n";
+  }
+  ReplayResult replay;
+  std::string err;
+  EXPECT_FALSE(ReplayJournal(path, replay, &err));
+  EXPECT_NE(err.find("[stale-resume]"), std::string::npos) << err;
+  EXPECT_NE(err.find("dsa-engine/0"), std::string::npos) << err;
+  SupervisorOptions so;
+  so.resume_path = path;
+  so.install_signal_drain = false;
+  Supervisor sup(so);
+  EXPECT_FALSE(sup.Init(&err));
   std::remove(path.c_str());
 }
 
