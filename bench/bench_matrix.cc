@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -46,8 +47,11 @@ void PrintPerf(const std::vector<Workload>& set, const SystemConfig& cfg,
                 dsa::bench::ImprovementPct(base, h),
                 dsa::bench::ImprovementPct(base, d));
   }
-  std::printf("%-12s DSA geomean %+.1f%%\n\n", "",
-              (dsa::bench::GeoMeanSpeedup(ds) - 1) * 100);
+  if (!ds.empty()) {
+    std::printf("%-12s DSA geomean %+.1f%%\n", "",
+                (dsa::bench::GeoMeanSpeedup(ds) - 1) * 100);
+  }
+  std::printf("\n");
 }
 
 void PrintEnergy(const std::vector<Workload>& set, const SystemConfig& cfg,
@@ -135,18 +139,40 @@ struct TableRun {
   std::uint64_t executions = 0;  // serial path: actual sim::Run calls
 };
 
-TableRun RenderAllTables(const Getter& get, const SystemConfig& cfg,
+// The three workload sets the matrix covers, narrowed by --filter. Both
+// the submission and the rendering read them from here, so a filtered
+// run neither executes nor prints a cell the filter excludes.
+struct MatrixSets {
+  std::vector<Workload> a3;
+  std::vector<Workload> a2;
+  std::vector<Workload> stream;
+};
+
+MatrixSets FilteredSets(const dsa::bench::BenchOptions& opts) {
+  const auto keep = [&opts](std::vector<Workload> set) {
+    std::vector<Workload> kept;
+    for (Workload& wl : set) {
+      if (dsa::bench::KeepWorkload(opts, wl.name)) {
+        kept.push_back(std::move(wl));
+      }
+    }
+    return kept;
+  };
+  return MatrixSets{keep(dsa::workloads::Article3Set()),
+                    keep(dsa::workloads::Article2Set()),
+                    keep(dsa::workloads::StreamingSet())};
+}
+
+TableRun RenderAllTables(const MatrixSets& sets, const Getter& get,
+                         const SystemConfig& cfg,
                          const SystemConfig& orig_cfg) {
   const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<Workload> a3 = dsa::workloads::Article3Set();
-  const std::vector<Workload> a2 = dsa::workloads::Article2Set();
-  const std::vector<Workload> stream = dsa::workloads::StreamingSet();
-  PrintPerf(a3, cfg, get);
-  PrintEnergy(a3, cfg, get);
-  PrintLatency(a3, cfg, get);
-  PrintLoopTypes(a3, cfg, get);
-  PrintFig16(a2, cfg, orig_cfg, get);
-  PrintStream(stream, cfg, get);
+  PrintPerf(sets.a3, cfg, get);
+  PrintEnergy(sets.a3, cfg, get);
+  PrintLatency(sets.a3, cfg, get);
+  PrintLoopTypes(sets.a3, cfg, get);
+  PrintFig16(sets.a2, cfg, orig_cfg, get);
+  PrintStream(sets.stream, cfg, get);
   TableRun tr;
   tr.wall_ms = std::chrono::duration<double, std::milli>(
                    std::chrono::steady_clock::now() - t0)
@@ -162,6 +188,7 @@ int main(int argc, char** argv) {
   SystemConfig orig_cfg = dsa::bench::BaseConfig(opts);
   orig_cfg.dsa = dsa::engine::DsaConfig::Original();
   dsa::bench::PrintSetupHeader(cfg);
+  const MatrixSets sets = FilteredSets(opts);
 
   // Seed-style serial path: every table cell is a fresh sim::Run call,
   // shared cells (the Fig. 8 matrix reappears in the energy table, the
@@ -176,7 +203,7 @@ int main(int argc, char** argv) {
       ++serial_runs;
       return Run(wl, mode, c);
     };
-    TableRun tr = RenderAllTables(serial_get, cfg, orig_cfg);
+    TableRun tr = RenderAllTables(sets, serial_get, cfg, orig_cfg);
     serial_ms = tr.wall_ms;
     std::printf("[matrix/serial] %llu sim runs in %.0f ms\n",
                 static_cast<unsigned long long>(serial_runs), serial_ms);
@@ -188,13 +215,11 @@ int main(int argc, char** argv) {
   BatchRunner runner(opts.runner);
   // Submit the whole matrix up front so the workers stream through it;
   // rendering then reads every cell from the memo.
-  for (const Workload& wl : dsa::workloads::Article3Set()) {
-    runner.SubmitMatrix(wl, cfg);
-  }
-  for (const Workload& wl : dsa::workloads::Article2Set()) {
+  for (const Workload& wl : sets.a3) runner.SubmitMatrix(wl, cfg);
+  for (const Workload& wl : sets.a2) {
     runner.Submit(wl, RunMode::kDsa, orig_cfg, "orig");
   }
-  for (const Workload& wl : dsa::workloads::StreamingSet()) {
+  for (const Workload& wl : sets.stream) {
     runner.Submit(wl, RunMode::kScalar, cfg);
     runner.Submit(wl, RunMode::kDsa, cfg);
   }
@@ -203,7 +228,7 @@ int main(int argc, char** argv) {
                                     const std::string& ctag) {
     return dsa::bench::ResultOrEmpty(runner, runner.Submit(wl, mode, c, ctag));
   };
-  RenderAllTables(memo_get, cfg, orig_cfg);
+  RenderAllTables(sets, memo_get, cfg, orig_cfg);
   const int rc = dsa::bench::FinishBench(runner, opts, "matrix");
   if (opts.compare && rc == 0) {
     const double runner_ms = std::chrono::duration<double, std::milli>(

@@ -1,15 +1,17 @@
-// Soak driver for the resilience layer (docs/RESILIENCE.md): proves the
-// crash-safe journal's headline guarantee end to end. One invocation
+// Soak driver for the resilience layer (docs/RESILIENCE.md): proves that
+// a sweep resumes through the result cache (--cache DIR) after a kill -9,
+// end to end. One invocation
 //
 //   1. runs a seeded randomized sweep uninterrupted and keeps its bench
 //      JSON as the reference,
-//   2. re-runs the same sweep in a worker process that SIGKILLs itself
-//      at a seeded point mid-batch (after K journal appends, K chosen
-//      from the seed), leaving a partial journal behind,
-//   3. resumes that journal in a fresh worker and writes its bench JSON,
+//   2. re-runs the same sweep over a fresh cache directory in a worker
+//      process that SIGKILLs itself at a seeded point mid-batch (after K
+//      cache stores, K chosen from the seed), leaving a partial cache,
+//   3. reruns the sweep over that cache in a fresh worker and writes its
+//      bench JSON,
 //   4. gates on the resumed JSON being bit-identical to the reference
 //      after stripping host-volatile fields (wall clock, host MIPS,
-//      journal/restored bookkeeping) — every digest, cycle count, cache
+//      cache/restored bookkeeping) — every digest, cycle count, cache
 //      and energy number must match exactly.
 //
 // The worker re-executes this same binary (--worker) so the kill lands
@@ -29,6 +31,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -36,7 +39,6 @@
 
 #include "bench/bench_util.h"
 #include "resilience/mini_json.h"
-#include "resilience/supervisor.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -52,9 +54,8 @@ struct SoakArgs {
   bool keep = false;
   // Worker-only:
   std::string json_path;
-  std::string journal_path;
-  std::string resume_path;
-  std::uint64_t kill_after = 0;  // SIGKILL self after K journal appends
+  std::string cache_dir;
+  std::uint64_t kill_after = 0;  // SIGKILL self after K cache stores
 };
 
 [[noreturn]] void Usage(const char* argv0) {
@@ -89,10 +90,8 @@ SoakArgs ParseArgs(int argc, char** argv) {
       a.keep = true;
     } else if (arg == "--json") {
       a.json_path = value();
-    } else if (arg == "--journal") {
-      a.journal_path = value();
-    } else if (arg == "--resume") {
-      a.resume_path = value();
+    } else if (arg == "--cache") {
+      a.cache_dir = value();
     } else if (arg == "--kill-after") {
       a.kill_after = static_cast<std::uint64_t>(
           dsa::bench::ParseCountArg(arg, value()));
@@ -136,38 +135,36 @@ std::size_t SweepCells(const SoakArgs& a) {
 }
 
 // ---------------------------------------------------------------------------
-// Worker: one sweep through the BatchRunner under the supervisor, with an
-// optional self-SIGKILL after `kill_after` journal appends.
+// Worker: one sweep through the BatchRunner, over the result cache when
+// --cache is given, with an optional self-SIGKILL after `kill_after`
+// cache stores.
 
 int WorkerMain(const SoakArgs& a) {
-  dsa::resilience::SupervisorOptions so;
-  so.journal_path = a.journal_path;
-  so.resume_path = a.resume_path;
-  // Durability on every append: the kill point must not be able to
-  // outrun the journal, or the equivalence gate would race the disk.
-  so.journal.fsync = dsa::resilience::FsyncPolicy::kAlways;
-  dsa::resilience::Supervisor sup(so);
-  std::string err;
-  if (!sup.Init(&err)) {
-    std::fprintf(stderr, "soak worker: %s\n", err.c_str());
-    return 2;
-  }
-
   dsa::sim::RunnerOptions ro;
   ro.jobs = a.jobs;
   ro.repeats = 2;  // give the determinism oracle two samples per cell
-  sup.Attach(ro);
+  std::shared_ptr<dsa::bench::CacheBinding> cache;
+  if (!a.cache_dir.empty()) {
+    std::string err;
+    cache = dsa::bench::BindCache(a.cache_dir, ro, &err);
+    if (!cache) {
+      std::fprintf(stderr, "soak worker: %s\n", err.c_str());
+      return 2;
+    }
+  }
 
-  std::atomic<std::uint64_t> appended{0};
+  std::atomic<std::uint64_t> stored{0};
   if (a.kill_after > 0) {
-    ro.on_outcome = [inner = ro.on_outcome, &appended,
+    ro.on_outcome = [inner = ro.on_outcome, &stored,
                      kill_after = a.kill_after](
+                        const dsa::sim::BatchJob& job,
                         const dsa::sim::JobOutcome& out) {
-      if (inner) inner(out);
-      if (out.cell_status == "ok" && !out.restored &&
-          appended.fetch_add(1) + 1 == kill_after) {
-        // The fsync-per-append policy already made the journal durable;
-        // die the hard way, mid-batch, like a real OOM-kill would.
+      if (inner) inner(job, out);
+      if (out.cell_status == "ok" &&
+          stored.fetch_add(1) + 1 == kill_after) {
+        // Every store is fsync'd before its rename, so the cell is
+        // durable; die the hard way, mid-batch, like a real OOM-kill
+        // would.
         ::raise(SIGKILL);
       }
     };
@@ -181,7 +178,8 @@ int WorkerMain(const SoakArgs& a) {
     }
   }
   const dsa::sim::BatchReport report = runner.Finish();
-  const dsa::sim::BenchJsonExtras extras = sup.Extras(report);
+  dsa::sim::BenchJsonExtras extras;
+  if (cache) dsa::bench::FillCacheCensus(*cache, report, extras);
   if (!dsa::sim::WriteBenchJson(a.json_path, "soak", runner, report,
                                 &extras)) {
     std::fprintf(stderr, "soak worker: could not write %s\n",
@@ -189,9 +187,9 @@ int WorkerMain(const SoakArgs& a) {
     return 1;
   }
   std::printf("soak worker: %" PRIu64 " distinct job(s), %" PRIu64
-              " restored, journal %s\n",
+              " restored, cache %s\n",
               report.distinct_jobs, report.restored_cells,
-              a.journal_path.empty() ? "off" : a.journal_path.c_str());
+              a.cache_dir.empty() ? "off" : a.cache_dir.c_str());
   return report.ok() ? 0 : 1;
 }
 
@@ -261,7 +259,7 @@ bool LoadJson(const std::string& path, JsonValue& out) {
 // Strips the host-volatile fields from a bench report, leaving only what
 // must reproduce bit-identically across a kill/resume: per-result keys
 // wall_ms/host (timing) and restored (bookkeeping), plus the top-level
-// run bookkeeping (jobs, wall_ms, memo/restored/journal counters).
+// run bookkeeping (jobs, wall_ms, memo/restored counters, cache census).
 JsonValue Canonicalize(const JsonValue& report) {
   static const char* kTopLevel[] = {"schema",        "bench",
                                     "repeats",       "distinct_jobs",
@@ -302,16 +300,20 @@ int OrchestratorMain(const SoakArgs& a, const char* argv0) {
   }
   const std::string ref_json = dir + "/reference.json";
   const std::string soak_json = dir + "/resumed.json";
-  const std::string journal = dir + "/run.jnl";
+  const std::string cache = dir + "/cache";
   std::remove(soak_json.c_str());
-  std::remove(journal.c_str());
+  cmd = "rm -rf '" + cache + "'";
+  if (std::system(cmd.c_str()) != 0) {
+    std::fprintf(stderr, "soak: cannot clear %s\n", cache.c_str());
+    return 1;
+  }
 
   const std::size_t cells = SweepCells(a);
   const std::uint64_t kill_after = 1 + a.seed % (cells - 1);
   const std::string seed_s = std::to_string(a.seed);
   const std::string jobs_s = std::to_string(a.jobs);
   std::printf("soak: steps=%s seed=%" PRIu64 " (%zu cells, kill after %" PRIu64
-              " journal append(s))\n",
+              " cache store(s))\n",
               a.steps.c_str(), a.seed, cells, kill_after);
 
   // 1. Reference: the uninterrupted sweep.
@@ -322,10 +324,10 @@ int OrchestratorMain(const SoakArgs& a, const char* argv0) {
     return 1;
   }
 
-  // 2. The same sweep, SIGKILLed mid-batch after `kill_after` appends.
+  // 2. The same sweep, SIGKILLed mid-batch after `kill_after` stores.
   WorkerExit killed = RunWorker(
       self, {"--steps", a.steps, "--seed", seed_s, "--jobs", jobs_s, "--json",
-             soak_json, "--journal", journal, "--kill-after",
+             soak_json, "--cache", cache, "--kill-after",
              std::to_string(kill_after)});
   if (!killed.signalled || killed.signal != SIGKILL) {
     std::fprintf(stderr,
@@ -336,10 +338,10 @@ int OrchestratorMain(const SoakArgs& a, const char* argv0) {
     return 1;
   }
 
-  // 3. Resume from the partial journal.
+  // 3. Rerun over the partial cache.
   WorkerExit resumed = RunWorker(
       self, {"--steps", a.steps, "--seed", seed_s, "--jobs", jobs_s, "--json",
-             soak_json, "--journal", journal, "--resume", journal});
+             soak_json, "--cache", cache});
   if (resumed.signalled || resumed.code != 0) {
     std::fprintf(stderr, "soak: resume run failed (exit %d)\n", resumed.code);
     return 1;
@@ -353,8 +355,8 @@ int OrchestratorMain(const SoakArgs& a, const char* argv0) {
   const JsonValue* restored = soak_report.Find("restored_cells");
   if (restored == nullptr || restored->AsU64() == 0) {
     std::fprintf(stderr,
-                 "soak: resumed run restored no cells — the journal replay "
-                 "never happened\n");
+                 "soak: resumed run restored no cells — nothing came back "
+                 "from the cache\n");
     return 1;
   }
   const std::string canon_ref = DumpJson(Canonicalize(ref_report));

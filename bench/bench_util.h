@@ -7,8 +7,8 @@
 // determinism or invariant check fails, instead of silently printing a
 // wrong table. Common CLI: --jobs N, --json PATH, --filter SUBSTR,
 // --repeats K, --no-oracle, plus the resilience flags --isolate,
-// --journal/--resume, --deadline-ms, --mem-limit-mb, --breaker and
-// --fsync (docs/RESILIENCE.md).
+// --deadline-ms, --mem-limit-mb, --breaker and --cache
+// (docs/RESILIENCE.md).
 #pragma once
 
 #include <cctype>
@@ -17,7 +17,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -25,12 +27,70 @@
 
 #include "fault/fault.h"
 #include "resilience/supervisor.h"
+#include "serve/cache.h"
 #include "sim/report.h"
 #include "sim/runner.h"
 #include "sim/system.h"
 #include "trace/chrome_export.h"
 
 namespace dsa::bench {
+
+// --cache DIR: the content-addressed result store (serve/cache.h), shared
+// with dsa_serve, bound to the runner's resume seams the way the daemon
+// uses it per cell — the key is computed once per distinct job, a hit is
+// restored instead of executed, and a cell that completed here is stored
+// (fsync'd, atomically renamed) as soon as it completes. A sweep
+// killed mid-batch and rerun over the same DIR restores every completed
+// cell; a different config or workload has a different key, so a stored
+// cell is never restored where this binary would compute another one.
+struct CacheBinding {
+  serve::ResultCache cache;
+  std::mutex mu;
+  // Keys computed by lookups that missed, consumed by the store of the
+  // same cell (by JobKey; the runner executes each distinct job once).
+  std::map<std::string, serve::CacheKey> pending;
+};
+
+// Opens the cache in `dir` and binds it to `ro`'s seams; null with
+// `error` filled when the directory cannot be created or used.
+inline std::shared_ptr<CacheBinding> BindCache(const std::string& dir,
+                                               sim::RunnerOptions& ro,
+                                               std::string* error) {
+  auto binding = std::make_shared<CacheBinding>();
+  if (!binding->cache.Open(dir, error)) return nullptr;
+  const std::size_t repeats = ro.repeats < 1 ? 1u
+                                             : static_cast<std::size_t>(
+                                                   ro.repeats);
+  ro.restore_fn = [binding, repeats](const sim::BatchJob& job,
+                                     sim::JobOutcome& out) {
+    serve::CacheKey key = serve::KeyFor(job);
+    // A stored cell answers only if it carries at least the determinism
+    // samples this run asks for; one stored with fewer re-executes.
+    if (binding->cache.Load(key, out) && out.runs.size() >= repeats) {
+      out.runs.resize(repeats);
+      return true;
+    }
+    const std::string job_key = key.job_key;
+    std::lock_guard<std::mutex> lock(binding->mu);
+    binding->pending[job_key] = std::move(key);
+    return false;
+  };
+  ro.on_outcome = [binding](const sim::BatchJob& job,
+                            const sim::JobOutcome& out) {
+    serve::CacheKey key;
+    {
+      std::lock_guard<std::mutex> lock(binding->mu);
+      const auto it = binding->pending.find(sim::JobKey(job));
+      if (it == binding->pending.end()) return;
+      key = std::move(it->second);
+      binding->pending.erase(it);
+    }
+    // Only completed cells are worth restoring; a failed cell executes
+    // again next time (the fault may have been environmental).
+    if (out.cell_status == "ok") (void)binding->cache.Store(key, out);
+  };
+  return binding;
+}
 
 struct BenchOptions {
   sim::RunnerOptions runner;  // --jobs, --repeats, --no-oracle
@@ -40,13 +100,17 @@ struct BenchOptions {
   // --faults <spec>: deterministic fault injection for DSA cells, e.g.
   // "cidp@0,bitflip@2+3;seed=7" (grammar in docs/FAULTS.md).
   fault::FaultPlan faults;
-  // Resilience layer (docs/RESILIENCE.md): --isolate, --journal PATH,
-  // --resume PATH, --deadline-ms N, --mem-limit-mb N, --breaker N,
-  // --fsync none|interval|always.
+  // Resilience layer (docs/RESILIENCE.md): --isolate, --deadline-ms N,
+  // --mem-limit-mb N, --breaker N.
   resilience::SupervisorOptions resilience;
   // Built (and attached to `runner`) by ParseBenchArgs when any
   // resilience flag is given; FinishBench reads its census for the JSON.
   std::shared_ptr<resilience::Supervisor> supervisor;
+  // --cache DIR: resume through the result cache; empty = no cache.
+  std::string cache_dir;
+  // Opened (and attached to `runner`) by ParseBenchArgs when --cache is
+  // given; FinishBench reads its census for the JSON.
+  std::shared_ptr<CacheBinding> cache;
   bool serial = false;        // --serial: seed-style direct Run() loop
   bool compare = false;       // --compare: time serial vs. runner paths
   bool reference = false;     // --reference: pre-optimization sim paths
@@ -197,10 +261,8 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
       o.reference = true;
     } else if (arg == "--isolate") {
       o.resilience.isolate = true;
-    } else if (arg == "--journal") {
-      o.resilience.journal_path = value();
-    } else if (arg == "--resume") {
-      o.resilience.resume_path = value();
+    } else if (arg == "--cache") {
+      o.cache_dir = value();
     } else if (arg == "--deadline-ms") {
       o.resilience.deadline_ms =
           static_cast<std::uint64_t>(ParseCountArg(arg, value()));
@@ -210,14 +272,6 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
     } else if (arg == "--breaker") {
       o.resilience.breaker_threshold =
           static_cast<int>(ParseCountArg(arg, value()));
-    } else if (arg == "--fsync") {
-      const char* mode = value();
-      if (!resilience::ParseFsyncPolicy(mode, o.resilience.journal.fsync)) {
-        std::fprintf(stderr,
-                     "--fsync expects none|interval|always, got \"%s\"\n",
-                     mode);
-        std::exit(2);
-      }
     } else {
       std::fprintf(stderr,
                    "usage: %s [--jobs N] [--repeats K] [--json PATH] "
@@ -225,9 +279,8 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                    "[--no-oracle] [--serial] [--compare] [--reference] "
                    "[--interleave N] [--assert-ratio X] "
                    "[--gen-seed S] [--gen-count N] "
-                   "[--isolate] [--journal PATH] [--resume PATH] "
-                   "[--deadline-ms N] [--mem-limit-mb N] [--breaker N] "
-                   "[--fsync none|interval|always]\n",
+                   "[--isolate] [--deadline-ms N] [--mem-limit-mb N] "
+                   "[--breaker N] [--cache DIR]\n",
                    argv[0]);
       std::exit(2);
     }
@@ -263,26 +316,34 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
     std::fprintf(stderr, "--trace is not supported with --isolate\n");
     std::exit(2);
   }
+  if (!o.cache_dir.empty() && !o.trace_path.empty()) {
+    // A stored outcome carries no trace, so a restored cell could not
+    // contribute one.
+    std::fprintf(stderr, "--trace is not supported with --cache\n");
+    std::exit(2);
+  }
   if (o.interleave > 0 &&
       (o.reference || o.serial || o.compare || !o.json_path.empty() ||
-       !o.trace_path.empty() || o.faults.enabled() || o.resilience.any())) {
+       !o.trace_path.empty() || o.faults.enabled() || o.resilience.any() ||
+       !o.cache_dir.empty())) {
     // The interleave loop runs its own reference arm and bypasses the
     // batch runner entirely, so the runner-side flags have nothing to
     // attach to; refuse instead of silently ignoring them.
     std::fprintf(stderr,
                  "--interleave is a standalone fast-vs-reference A/B loop; "
                  "drop --reference/--serial/--compare/--json/--trace/"
-                 "--faults and the resilience flags\n");
+                 "--faults, --cache and the resilience flags\n");
     std::exit(2);
   }
   if (o.assert_ratio > 0.0 && o.interleave == 0) {
     std::fprintf(stderr, "--assert-ratio requires --interleave\n");
     std::exit(2);
   }
-  if ((o.serial || o.compare) && o.resilience.any()) {
+  if ((o.serial || o.compare) &&
+      (o.resilience.any() || !o.cache_dir.empty())) {
     std::fprintf(stderr,
-                 "resilience flags apply to the batch runner; drop "
-                 "--serial/--compare\n");
+                 "resilience flags and --cache apply to the batch runner; "
+                 "drop --serial/--compare\n");
     std::exit(2);
   }
   if (o.faults.enabled() && o.runner.oracle && o.runner.repeats < 2 &&
@@ -307,44 +368,23 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
                  "will run (use --repeats 2 or --no-oracle)\n",
                  o.runner.repeats);
   }
-  if (o.resilience.any()) {
+  if (o.resilience.any() || !o.cache_dir.empty()) {
+    // A --cache run is a resumable run, so SIGINT/SIGTERM drain it too:
+    // in-flight cells finish (and are stored), the report is written.
     o.supervisor = std::make_shared<resilience::Supervisor>(o.resilience);
-    std::string err;
-    if (!o.supervisor->Init(&err)) {
-      std::fprintf(stderr, "%s\n", err.c_str());
-      std::exit(2);
-    }
     o.supervisor->Attach(o.runner);
-    if (o.runner.restore_fn) {
-      // A stale resume (a cell journaled under another config) is refused
-      // outright: report the typed error and stop before any table row.
-      o.runner.restore_fn = [inner = o.runner.restore_fn](
-                                const std::string& key, sim::JobOutcome& out) {
-        try {
-          return inner(key, out);
-        } catch (const sim::DsaError& e) {
-          std::fprintf(stderr, "%s\n", e.what());
-          resilience::FlushAllJournals();
-          std::_Exit(2);
-        }
-      };
-    }
     if (o.resilience.isolate && !resilience::IsolationAvailable()) {
       std::fprintf(stderr,
                    "warning: fork() unavailable on this platform; --isolate "
                    "falls back to in-process execution\n");
     }
-    if (!o.resilience.resume_path.empty()) {
-      std::printf("resume: %llu completed cell(s) replayed from %s",
-                  static_cast<unsigned long long>(
-                      o.supervisor->replay().cells.size()),
-                  o.resilience.resume_path.c_str());
-      if (o.supervisor->replay().torn_bytes > 0) {
-        std::printf(" (%llu torn byte(s) truncated)",
-                    static_cast<unsigned long long>(
-                        o.supervisor->replay().torn_bytes));
-      }
-      std::printf("\n");
+  }
+  if (!o.cache_dir.empty()) {
+    std::string err;
+    o.cache = BindCache(o.cache_dir, o.runner, &err);
+    if (!o.cache) {
+      std::fprintf(stderr, "%s\n", err.c_str());
+      std::exit(2);
     }
   }
   return o;
@@ -398,6 +438,21 @@ inline const sim::RunResult& ResultOrEmpty(sim::BatchRunner& runner,
   return out.result();
 }
 
+// The cache block of the bench JSON: hits are the cells this batch
+// restored; the store, failure and quarantine counters come from the
+// cache itself.
+inline void FillCacheCensus(const CacheBinding& binding,
+                            const sim::BatchReport& report,
+                            sim::BenchJsonExtras& extras) {
+  const serve::CacheStats stats = binding.cache.stats();
+  extras.cache_path = binding.cache.dir();
+  extras.cache_hits = report.restored_cells;
+  extras.cache_stores = stats.stores;
+  extras.cache_store_failures = stats.store_failures;
+  extras.cache_fsync_failures = stats.fsync_failures;
+  extras.cache_quarantined = stats.quarantined;
+}
+
 // Oracle summary + JSON emission + exit code for a runner-based driver.
 // Call after rendering the tables; returns the process exit code:
 // 0 complete, 1 oracle violation or write failure, 3 interrupted by a
@@ -418,10 +473,12 @@ inline int FinishBench(sim::BatchRunner& runner, const BenchOptions& o,
   } else if (report.interrupted) {
     extras.run_status = "interrupted";
   }
+  if (o.cache) FillCacheCensus(*o.cache, report, extras);
   if (report.restored_cells > 0) {
-    std::printf("[%s] %llu cell(s) restored from the resume journal\n",
+    std::printf("[%s] %llu cell(s) restored from the result cache %s\n",
                 bench_name,
-                static_cast<unsigned long long>(report.restored_cells));
+                static_cast<unsigned long long>(report.restored_cells),
+                extras.cache_path.c_str());
   }
   if (extras.run_status == "interrupted") {
     std::fprintf(stderr,

@@ -24,7 +24,7 @@
 #include <string>
 #include <thread>
 
-#include "resilience/journal.h"
+#include "resilience/codec.h"
 #include "serve/client.h"
 #include "serve/flags.h"
 #include "serve/proto.h"

@@ -40,19 +40,20 @@ echo "== chaos smoke (fault injection + guard recovery) =="
 # exits non-zero unless every injected run recovers bit-identically to
 # the fault-free digest (speculation guard rollback + blacklisting),
 # with the sanitizers watching the rollback machinery. The validator
-# re-checks the dsa-bench-json/6 contract including the faults block.
+# re-checks the dsa-bench-json/7 contract including the faults block.
 "$BUILD"/bench/bench_chaos --filter VecAdd --jobs 2 \
     --json "$BUILD"/BENCH_chaos_check.json
 python3 scripts/validate_bench.py "$BUILD"/BENCH_chaos_check.json
 
-echo "== chaos smoke under isolation + journal =="
+echo "== chaos smoke under isolation + result cache =="
 # The same chaos slice with the resilience layer composed in: every cell
-# runs in a forked child (--isolate) and lands in the crash-safe journal.
-# Proves the fault-injection path and process isolation compose, with the
-# sanitizers watching both sides of the pipe protocol.
-rm -f "$BUILD"/CHAOS_check.jnl
+# runs in a forked child (--isolate) and is stored in the result cache
+# (--cache). Proves the fault-injection path, process isolation and the
+# cache store compose, with the sanitizers watching both sides of the
+# pipe protocol.
+rm -rf "$BUILD"/CHAOS_check.cache
 "$BUILD"/bench/bench_chaos --filter VecAdd --jobs 2 --isolate \
-    --journal "$BUILD"/CHAOS_check.jnl \
+    --cache "$BUILD"/CHAOS_check.cache \
     --json "$BUILD"/BENCH_chaos_isolate_check.json
 python3 scripts/validate_bench.py "$BUILD"/BENCH_chaos_isolate_check.json
 grep -q '"run_status": "complete"' "$BUILD"/BENCH_chaos_isolate_check.json
@@ -81,16 +82,16 @@ echo "== traced mini bench + trace validation =="
 python3 scripts/validate_trace.py "$BUILD"/TRACE_check.json
 
 echo "== kill-and-resume soak smoke =="
-# bench_soak runs a seeded sweep, SIGKILLs itself mid-batch, resumes from
-# the crash-safe journal and gates on the resumed bench report being
+# bench_soak runs a seeded sweep, SIGKILLs itself mid-batch, reruns over
+# the same --cache directory and gates on the resumed bench report being
 # bit-identical to an uninterrupted run (docs/RESILIENCE.md).
 "$BUILD"/bench/bench_soak --steps small --seed 7 \
     --dir "$BUILD"/soak_check.tmp
 
 echo "== runner + resilience suites under TSan =="
-# The batch runner's thread pool and the resilience seams (journal
-# appends from worker threads, breaker state, drain flag) are the
-# concurrency-heavy surfaces; run their suites under ThreadSanitizer.
+# The batch runner's thread pool and the resilience seams (cache
+# lookups and stores from worker threads, breaker state, drain flag) are
+# the concurrency-heavy surfaces; run their suites under ThreadSanitizer.
 cmake --preset tsan > /dev/null
 cmake --build build-tsan -j "$JOBS" --target test_runner test_resilience \
     test_serve bench_stream
@@ -104,7 +105,7 @@ echo "== generator sweep under TSan (64 seeds, --jobs 4) =="
 # The 64-seed differential sweep through the batch runner's thread pool:
 # generated programs stream through worker threads while the oracle
 # cross-checks fast vs reference results, with TSan watching the memo
-# and journal seams. (--jobs clamps to the host's hardware threads.)
+# and restore seams. (--jobs clamps to the host's hardware threads.)
 TSAN_OPTIONS="halt_on_error=1" build-tsan/bench/bench_stream \
     --gen-seed 11 --gen-count 64 --jobs 4 \
     --json build-tsan/BENCH_stream_tsan.json
@@ -115,7 +116,7 @@ echo "== release build + throughput smoke =="
 # Optimized build via the release preset (-O3, warnings-as-errors), then
 # the host-throughput driver on the VecAdd smoke slice. The driver's exit
 # code is gated by the differential oracle; the validator re-checks the
-# dsa-bench-json/6 contract and that every job reports MIPS > 0.
+# dsa-bench-json/7 contract and that every job reports MIPS > 0.
 cmake --preset release > /dev/null
 cmake --build build -j "$JOBS" --target bench_throughput
 build/bench/bench_throughput --filter VecAdd --repeats 2 \
@@ -199,6 +200,30 @@ wait "$SERVE_PID"
 RC=$?
 set -e
 [[ "$RC" -eq 3 ]]
+
+echo "== CLI sweep and daemon share one result cache =="
+# A CLI sweep stores every completed cell under --cache; a daemon started
+# over the same directory must answer the same filter entirely from it,
+# bit-identical (cycles + output digests) to the sweep's own report.
+CLI_CACHE=build/cli_cache_check
+rm -rf "$CLI_CACHE" "$SOCK"
+build/bench/bench_matrix --filter BitCount --jobs "$JOBS" --repeats 1 \
+    --cache "$CLI_CACHE" --json build/BENCH_cli_cache.json
+python3 scripts/validate_bench.py build/BENCH_cli_cache.json
+build/bench/dsa_serve --socket "$SOCK" --cache "$CLI_CACHE" &
+SERVE_PID=$!
+wait_for_daemon
+build/bench/dsa_submit --socket "$SOCK" --filter BitCount \
+    --json build/SERVE_cli_cache.json --quiet
+python3 scripts/validate_serve.py build/SERVE_cli_cache.json \
+    --all-cached --ref build/BENCH_cli_cache.json
+set +e
+kill -TERM "$SERVE_PID"
+wait "$SERVE_PID"
+RC=$?
+set -e
+[[ "$RC" -eq 3 ]]
+rm -rf "$CLI_CACHE" "$SOCK"
 
 echo "== serving daemon crash drill (isolated cell, typed 'crashed') =="
 # One cell aborts inside its fork isolate; the daemon classifies it as

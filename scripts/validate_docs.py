@@ -35,7 +35,7 @@ def parsed_bench_flags(root: str) -> set:
 def documented_flags(readme: str) -> set:
     """Flags mentioned in README table rows (| `--flag ...` | ... |).
 
-    A row may document several flags at once (`--journal` / `--resume`),
+    A row may document several flags at once (`--gen-seed` / `--gen-count`),
     so collect every --flag token inside the row's code spans.
     """
     flags = set()

@@ -1,59 +1,14 @@
-#include "resilience/journal.h"
+#include "resilience/codec.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <atomic>
-#include <cerrno>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
-#include "resilience/iofault.h"
-#include "resilience/mini_json.h"
-#include "sim/digest.h"
-#include "sim/error.h"
+#include <cstdlib>
+#include <stdexcept>
 
 namespace dsa::resilience {
 
 namespace {
 
-constexpr const char kJournalSchema[] = "dsa-journal/2";
-
-// ---------------------------------------------------------------------------
-// Signal-safe fd registry: a fixed table of open journal fds so a signal
-// handler can fsync them without locks or allocation.
-
-constexpr int kMaxJournals = 16;
-std::atomic<int> g_journal_fds[kMaxJournals];
-std::atomic<bool> g_registry_init{false};
-
-void InitRegistryOnce() {
-  bool expected = false;
-  if (g_registry_init.compare_exchange_strong(expected, true)) {
-    for (auto& slot : g_journal_fds) slot.store(-1, std::memory_order_relaxed);
-  }
-}
-
-void RegisterFd(int fd) {
-  InitRegistryOnce();
-  for (auto& slot : g_journal_fds) {
-    int expected = -1;
-    if (slot.compare_exchange_strong(expected, fd)) return;
-  }
-}
-
-void DeregisterFd(int fd) {
-  if (!g_registry_init.load()) return;
-  for (auto& slot : g_journal_fds) {
-    int expected = fd;
-    if (slot.compare_exchange_strong(expected, -1)) return;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // Serialization helpers (append-to-string writers; the reader side is
 // mini_json).
 
@@ -159,6 +114,17 @@ void SerializeResult(std::string& s, const sim::RunResult& r) {
   }
   PutU64(s, "host_steps", r.host_steps);
   PutDbl(s, "host_wall_ms", r.host_wall_ms);
+  // Workload metadata the bench JSON reports (`stream`/`gen` blocks);
+  // emitted only when present, so other cells encode as before.
+  if (r.stream_bytes > 0) PutU64(s, "stream_bytes", r.stream_bytes);
+  if (r.gen.has_value()) {
+    s += "\"gen\":{";
+    PutU64(s, "seed", r.gen->seed);
+    PutStr(s, "class", r.gen->loop_class);
+    PutU64(s, "count", r.gen->count);
+    CloseObj(s);
+    s += ',';
+  }
   if (r.dsa.has_value()) {
     const engine::DsaStats& d = *r.dsa;
     s += "\"dsa\":{";
@@ -273,6 +239,19 @@ bool ParseResult(const JsonValue& j, sim::RunResult& r) {
   if (steps != nullptr) r.host_steps = steps->AsU64();
   const JsonValue* hw = j.Find("host_wall_ms");
   if (hw != nullptr) r.host_wall_ms = hw->AsDouble();
+  if (const JsonValue* sb = j.Find("stream_bytes"); sb != nullptr) {
+    r.stream_bytes = sb->AsU64();
+  }
+  if (const JsonValue* gen = j.Find("gen"); gen != nullptr) {
+    const JsonValue* seed = gen->Find("seed");
+    const JsonValue* cls = gen->Find("class");
+    const JsonValue* count = gen->Find("count");
+    if (seed == nullptr || cls == nullptr || !cls->is_string() ||
+        count == nullptr) {
+      return false;
+    }
+    r.gen = sim::GenInfo{seed->AsU64(), cls->AsString(), count->AsU64()};
+  }
 
   if (const JsonValue* dsa = j.Find("dsa"); dsa != nullptr) {
     engine::DsaStats d;
@@ -325,46 +304,12 @@ bool ParseResult(const JsonValue& j, sim::RunResult& r) {
   return true;
 }
 
-// Validates one framed line (without its trailing newline). Returns true
-// and fills `payload` when the CRC matches.
-bool CheckFrame(std::string_view line, std::string& payload) {
-  if (line.size() < 10 || line[8] != ' ') return false;
-  std::uint32_t crc = 0;
-  for (int i = 0; i < 8; ++i) {
-    const char c = line[i];
-    crc <<= 4;
-    if (c >= '0' && c <= '9') crc |= static_cast<std::uint32_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') crc |= static_cast<std::uint32_t>(c - 'a' + 10);
-    else return false;
-  }
-  const std::string_view body = line.substr(9);
-  if (Crc32(body.data(), body.size()) != crc) return false;
-  payload.assign(body);
-  return true;
-}
-
 }  // namespace
 
-bool ParseFsyncPolicy(const std::string& name, FsyncPolicy& out) {
-  if (name == "none") out = FsyncPolicy::kNone;
-  else if (name == "interval") out = FsyncPolicy::kInterval;
-  else if (name == "always") out = FsyncPolicy::kAlways;
-  else return false;
-  return true;
-}
-
-std::string_view ToString(FsyncPolicy p) {
-  switch (p) {
-    case FsyncPolicy::kNone: return "none";
-    case FsyncPolicy::kInterval: return "interval";
-    case FsyncPolicy::kAlways: return "always";
-  }
-  return "?";
-}
-
 std::uint32_t Crc32(const void* data, std::size_t len) {
-  // Table-free bitwise CRC-32; the journal appends are one small line per
-  // simulated cell, so throughput is irrelevant next to the sim itself.
+  // Table-free bitwise CRC-32; every caller frames one small record per
+  // simulated cell or message, so throughput is irrelevant next to the
+  // sim itself.
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
   for (std::size_t i = 0; i < len; ++i) {
@@ -407,17 +352,14 @@ std::string SerializeOutcome(const sim::JobOutcome& out) {
   return s;
 }
 
-bool ParseOutcomePayload(const std::string& payload, std::string& key,
-                         sim::JobOutcome& out) {
-  JsonValue j;
-  if (!ParseJson(payload, j) || !j.is_object()) return false;
+bool ParseOutcome(const JsonValue& j, sim::JobOutcome& out) {
+  if (!j.is_object()) return false;
   const JsonValue* kind = j.Find("kind");
   if (kind == nullptr || kind->AsString() != "cell") return false;
   const JsonValue* k = j.Find("key");
   if (k == nullptr || !k->is_string() || k->AsString().empty()) return false;
-  key = k->AsString();
   out = sim::JobOutcome{};
-  out.key = key;
+  out.key = k->AsString();
   const JsonValue* status = j.Find("status");
   if (status == nullptr || !status->is_string()) return false;
   out.cell_status = status->AsString();
@@ -438,204 +380,12 @@ bool ParseOutcomePayload(const std::string& payload, std::string& key,
     if (result == nullptr) return false;
     sim::RunResult r;
     if (!ParseResult(*result, r)) return false;
-    // The journal stores the canonical run once; the recorded sample
-    // count is restored by replication (all repeats of a journaled cell
-    // already passed the determinism oracle before being appended).
+    // The record carries the canonical run once; the recorded sample
+    // count is restored by replication (all repeats of a stored cell
+    // already agreed before it was written).
     out.runs.assign(static_cast<std::size_t>(n), r);
   }
   return true;
-}
-
-bool ReplayJournal(const std::string& path, ReplayResult& out,
-                   std::string* error) {
-  out = ReplayResult{};
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) return true;  // no journal yet: empty replay
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string data = ss.str();
-
-  std::size_t pos = 0;
-  bool saw_header = false;
-  while (pos < data.size()) {
-    const std::size_t nl = data.find('\n', pos);
-    if (nl == std::string::npos) break;  // incomplete final line: torn
-    const std::string_view line(data.data() + pos, nl - pos);
-    std::string payload;
-    if (!CheckFrame(line, payload)) break;
-    if (!saw_header) {
-      // First record must be the header carrying the journal schema.
-      JsonValue j;
-      if (!ParseJson(payload, j) || !j.is_object()) break;
-      const JsonValue* kind = j.Find("kind");
-      const JsonValue* schema = j.Find("schema");
-      if (kind == nullptr || kind->AsString() != "meta" || schema == nullptr) {
-        break;
-      }
-      if (schema->AsString() != kJournalSchema) {
-        if (error != nullptr) {
-          *error = "journal schema " + schema->AsString() +
-                   " is not " + kJournalSchema;
-        }
-        return false;
-      }
-      // Cells are only valid under the engine that computed them.
-      const JsonValue* engine = j.Find("engine");
-      const std::string recorded =
-          engine != nullptr ? engine->AsString() : std::string("(none)");
-      if (recorded != sim::kEngineVersion) {
-        if (error != nullptr) {
-          *error = sim::DsaError(sim::DsaErrorCode::kStaleResume,
-                                 "journal " + path + " was recorded by " +
-                                     recorded + ", this binary is " +
-                                     std::string(sim::kEngineVersion))
-                       .what();
-        }
-        return false;
-      }
-      saw_header = true;
-    } else {
-      std::string key;
-      sim::JobOutcome cell;
-      if (!ParseOutcomePayload(payload, key, cell)) break;
-      if (out.cells.count(key) != 0) ++out.duplicates;
-      out.cells[key] = std::move(cell);
-    }
-    ++out.records;
-    pos = nl + 1;
-  }
-  out.valid_bytes = pos;
-  out.torn_bytes = data.size() - pos;
-  return true;
-}
-
-Journal::~Journal() { Close(); }
-
-bool Journal::Open(const std::string& path, const JournalOptions& opts,
-                   std::string* error) {
-  Close();
-  ReplayResult scan;
-  if (!ReplayJournal(path, scan, error)) return false;
-  const int fd = IoOpen(path.c_str(), O_WRONLY | O_CREAT | O_APPEND, 0644);
-  if (fd < 0) {
-    if (error != nullptr) {
-      *error = "cannot open " + path + ": " + std::strerror(errno);
-    }
-    return false;
-  }
-  if (scan.torn_bytes > 0) {
-    // Drop the torn tail before appending, so resumed records start on a
-    // clean frame boundary.
-    if (::ftruncate(fd, static_cast<off_t>(scan.valid_bytes)) != 0) {
-      if (error != nullptr) {
-        *error = "cannot truncate torn tail of " + path + ": " +
-                 std::strerror(errno);
-      }
-      ::close(fd);
-      return false;
-    }
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  path_ = path;
-  opts_ = opts;
-  fd_ = fd;
-  appended_ = 0;
-  since_fsync_ = 0;
-  write_failures_ = 0;
-  fsync_failures_ = 0;
-  RegisterFd(fd_);
-  if (scan.records == 0) {
-    std::string header = "{";
-    PutStr(header, "kind", "meta");
-    PutStr(header, "schema", kJournalSchema);
-    PutStr(header, "engine", std::string(sim::kEngineVersion));
-    CloseObj(header);
-    AppendLine(header);
-  }
-  return true;
-}
-
-void Journal::AppendLine(const std::string& payload) {
-  char frame[10];
-  std::snprintf(frame, sizeof(frame), "%08x ",
-                Crc32(payload.data(), payload.size()));
-  std::string line;
-  line.reserve(payload.size() + 10);
-  line.append(frame, 9);
-  line += payload;
-  line += '\n';
-  // One write() per record: with O_APPEND the line lands contiguously, so
-  // a crash can tear at most the final record — exactly what the replay
-  // truncation handles.
-  std::size_t off = 0;
-  while (off < line.size()) {
-    const ssize_t n = IoWrite(fd_, line.data() + off, line.size() - off);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) continue;
-      // Disk full / IO error: the next replay truncates the tear. The
-      // failure is counted, not swallowed — the bench JSON surfaces it
-      // as a typed [io-fault] durability warning.
-      ++write_failures_;
-      return;
-    }
-    off += static_cast<std::size_t>(n);
-  }
-  if (opts_.fsync == FsyncPolicy::kAlways) {
-    if (IoFsync(fd_) != 0) ++fsync_failures_;
-  } else if (opts_.fsync == FsyncPolicy::kInterval) {
-    if (++since_fsync_ >= opts_.fsync_interval) {
-      if (IoFsync(fd_) != 0) ++fsync_failures_;
-      since_fsync_ = 0;
-    }
-  }
-}
-
-void Journal::Append(const sim::JobOutcome& out) {
-  const std::string payload = SerializeOutcome(out);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return;
-  AppendLine(payload);
-  ++appended_;  // cell records only; the header does not count
-}
-
-void Journal::Flush() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ >= 0) {
-    if (IoFsync(fd_) != 0) ++fsync_failures_;
-    since_fsync_ = 0;
-  }
-}
-
-void Journal::Close() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (fd_ < 0) return;
-  if (IoFsync(fd_) != 0) ++fsync_failures_;
-  DeregisterFd(fd_);
-  ::close(fd_);
-  fd_ = -1;
-}
-
-std::uint64_t Journal::appended() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return appended_;
-}
-
-std::uint64_t Journal::write_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return write_failures_;
-}
-
-std::uint64_t Journal::fsync_failures() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fsync_failures_;
-}
-
-void FlushAllJournals() {
-  if (!g_registry_init.load()) return;
-  for (const auto& slot : g_journal_fds) {
-    const int fd = slot.load(std::memory_order_relaxed);
-    if (fd >= 0) ::fsync(fd);
-  }
 }
 
 }  // namespace dsa::resilience

@@ -9,10 +9,10 @@
 // claiming durability.
 //
 // Unlike the per-run FaultInjector, this injector is process-global and
-// thread-safe: the journal appends from worker threads and the result
-// cache stores concurrently, and all of them must draw opportunities
-// from one deterministic sequence. When no plan is installed the shims
-// are a single relaxed atomic load away from the raw syscall.
+// thread-safe: bench workers and daemon workers store into the result
+// cache concurrently, and all of them must draw opportunities from one
+// deterministic sequence. When no plan is installed the shims are a
+// single relaxed atomic load away from the raw syscall.
 //
 // Injection sites (one opportunity per shim call, per kind):
 //   IoWrite  -> enospc (ENOSPC), eio (EIO), short-write (partial write)

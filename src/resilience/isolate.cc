@@ -5,7 +5,7 @@
 #include <cstring>
 #include <new>
 
-#include "resilience/journal.h"
+#include "resilience/codec.h"
 #include "resilience/mini_json.h"
 #include "sim/error.h"
 

@@ -1,16 +1,16 @@
 // Supervisor: the one object a bench driver instantiates to make its
-// BatchRunner resilient. It composes the four resilience pieces
+// BatchRunner resilient. It composes three resilience pieces
 // (docs/RESILIENCE.md) behind the runner's existing seams:
 //   - process isolation  -> wraps RunnerOptions::run_fn (isolate.h)
-//   - crash-safe journal -> restore_fn (resume replay; a cell recorded
-//     under another config throws a kStaleResume DsaError) + on_outcome
-//     (append each completed cell)                      (journal.h)
 //   - circuit breaker    -> fail-fast inside the wrapped run_fn
 //                                                       (breaker.h)
 //   - graceful drain     -> SIGINT/SIGTERM set a process-wide flag the
-//     runner polls; in-flight cells finish, the journal is fsynced from
-//     the (async-signal-safe) handler, queued cells become "cancelled"
-//     and the JSON reports run_status "interrupted".
+//     runner polls; in-flight cells finish, queued cells become
+//     "cancelled" and the JSON reports run_status "interrupted".
+// Resume after a crash is not a supervisor concern: completed cells are
+// durable in the content-addressed result cache (serve/cache.h), which
+// the bench drivers bind to the runner's restore_fn/on_outcome seams
+// with --cache DIR (bench/bench_util.h).
 #pragma once
 
 #include <atomic>
@@ -19,16 +19,15 @@
 
 #include "resilience/breaker.h"
 #include "resilience/isolate.h"
-#include "resilience/journal.h"
 #include "sim/runner.h"
 
 namespace dsa::resilience {
 
 // Installs the SIGINT/SIGTERM graceful-drain handler (idempotent): the
-// handler sets Supervisor::DrainFlag() and fsyncs every open journal,
-// both async-signal-safe. Supervisor::Attach calls this; it is exposed
-// for long-lived drivers that drain without a Supervisor (the serving
-// daemon, src/serve/daemon.cc).
+// handler sets Supervisor::DrainFlag(), an async-signal-safe atomic
+// store. Supervisor::Attach calls this; it is exposed for long-lived
+// drivers that drain without a Supervisor (the serving daemon,
+// src/serve/daemon.cc).
 void InstallDrainHandler();
 
 struct SupervisorOptions {
@@ -37,11 +36,6 @@ struct SupervisorOptions {
   // Per-cell wall-clock deadline / child memory cap; require isolate.
   std::uint64_t deadline_ms = 0;
   std::uint64_t mem_limit_mb = 0;
-  // Crash-safe journal (--journal): append each completed cell.
-  std::string journal_path;
-  // Resume (--resume): replay this journal and skip completed cells.
-  std::string resume_path;
-  JournalOptions journal;
   // Circuit breaker (--breaker N): open after N consecutive failures of
   // one workload; 0 disables.
   int breaker_threshold = 0;
@@ -51,8 +45,8 @@ struct SupervisorOptions {
   bool install_signal_drain = true;
 
   [[nodiscard]] bool any() const {
-    return isolate || !journal_path.empty() || !resume_path.empty() ||
-           breaker_threshold > 0 || deadline_ms > 0 || mem_limit_mb > 0;
+    return isolate || breaker_threshold > 0 || deadline_ms > 0 ||
+           mem_limit_mb > 0;
   }
 };
 
@@ -60,22 +54,16 @@ class Supervisor {
  public:
   explicit Supervisor(SupervisorOptions opts);
 
-  // Replays the resume journal and opens the append journal. Returns
-  // false with `error` filled on an unreadable/incompatible journal.
-  [[nodiscard]] bool Init(std::string* error = nullptr);
-
-  // Installs the resilience seams into the runner options. Call after
-  // Init() and before constructing the BatchRunner. The existing run_fn
-  // (test seam / fault injection) keeps working — it becomes the inner
-  // function the isolation wrapper executes.
+  // Installs the resilience seams into the runner options. Call before
+  // constructing the BatchRunner. The existing run_fn (test seam / fault
+  // injection) keeps working — it becomes the inner function the
+  // isolation wrapper executes.
   void Attach(sim::RunnerOptions& ro);
 
   // Census for WriteBenchJson, after runner.Finish().
   [[nodiscard]] sim::BenchJsonExtras Extras(
       const sim::BatchReport& report) const;
 
-  [[nodiscard]] const ReplayResult& replay() const { return replay_; }
-  [[nodiscard]] Journal& journal() { return journal_; }
   [[nodiscard]] CircuitBreaker& breaker() { return breaker_; }
   [[nodiscard]] const SupervisorOptions& options() const { return opts_; }
 
@@ -86,8 +74,6 @@ class Supervisor {
 
  private:
   SupervisorOptions opts_;
-  ReplayResult replay_;
-  Journal journal_;
   CircuitBreaker breaker_;
 };
 

@@ -10,8 +10,8 @@
 #include <vector>
 
 #include "mem/memory.h"
+#include "resilience/codec.h"
 #include "resilience/iofault.h"
-#include "resilience/journal.h"
 #include "resilience/mini_json.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -77,13 +77,20 @@ std::string Slurp(const std::string& path, bool& ok) {
   return ss.str();
 }
 
-// Structural validity of one cache-entry file: complete `CCCCCCCC json\n`
-// frame, matching CRC, entry-schema label, parseable hex digests and a
-// round-trippable cell payload. The boot-time scrub keeps any entry that
-// passes (Load still re-verifies and compares the key on every hit);
-// anything that fails would be quarantined at serving time anyway, so the
-// scrub moves it aside before the daemon starts answering requests.
-bool EntryStructurallyValid(const std::string& data) {
+// One cache-entry file, parsed: the key fields it claims to answer for
+// and the cell it carries.
+struct Entry {
+  CacheKey key;
+  sim::JobOutcome cell;
+};
+
+// The one entry parser, shared by Load and Scrub: a complete
+// `CCCCCCCC json\n` frame, a matching CRC, the entry-schema label,
+// non-empty key and version labels, parseable hex digests, and a cell
+// payload that parses and names the entry's own key. False means the
+// file is corrupt and gets quarantined; whether a valid entry answers
+// for the key being looked up is the caller's question.
+bool ParseEntry(const std::string& data, Entry& e) {
   std::uint64_t crc = 0;
   if (data.size() < 10 || data.back() != '\n' || data[8] != ' ' ||
       !ParseHexU64(data.substr(0, 8), crc)) {
@@ -91,31 +98,47 @@ bool EntryStructurallyValid(const std::string& data) {
   }
   const std::string payload = data.substr(9, data.size() - 10);
   if (resilience::Crc32(payload.data(), payload.size()) != crc) return false;
-  resilience::JsonValue entry;
-  if (!resilience::ParseJson(payload, entry) || !entry.is_object())
-    return false;
-  const auto field = [&entry](std::string_view name) -> std::string {
-    const resilience::JsonValue* v = entry.Find(name);
+  resilience::JsonValue j;
+  if (!resilience::ParseJson(payload, j) || !j.is_object()) return false;
+  const auto field = [&j](std::string_view name) -> std::string {
+    const resilience::JsonValue* v = j.Find(name);
     return v != nullptr ? v->AsString() : std::string();
   };
-  std::uint64_t digest = 0;
-  const auto hex_field = [&](std::string_view name) {
+  const auto hex_field = [&field](std::string_view name, std::uint64_t& v) {
     std::string s = field(name);
     if (s.rfind("0x", 0) == 0) s = s.substr(2);
-    return ParseHexU64(s, digest);
+    return ParseHexU64(s, v);
   };
-  if (field("schema") != kCacheEntrySchema || field("key").empty() ||
-      field("engine").empty() || field("bench_schema").empty() ||
-      !hex_field("workload_digest") || !hex_field("config_digest")) {
-    return false;
-  }
-  const resilience::JsonValue* cell = entry.Find("cell");
-  if (cell == nullptr || !cell->is_object()) return false;
-  std::string parsed_key;
-  sim::JobOutcome parsed;
-  return resilience::ParseOutcomePayload(resilience::DumpJson(*cell),
-                                         parsed_key, parsed) &&
-         parsed_key == field("key");
+  e.key.job_key = field("key");
+  e.key.engine_version = field("engine");
+  e.key.bench_schema = field("bench_schema");
+  const resilience::JsonValue* cell = j.Find("cell");
+  return field("schema") == kCacheEntrySchema && !e.key.job_key.empty() &&
+         !e.key.engine_version.empty() && !e.key.bench_schema.empty() &&
+         hex_field("workload_digest", e.key.workload_digest) &&
+         hex_field("config_digest", e.key.config_digest) && cell != nullptr &&
+         resilience::ParseOutcome(*cell, e.cell) &&
+         e.cell.key == e.key.job_key;
+}
+
+bool SameKey(const CacheKey& a, const CacheKey& b) {
+  return a.job_key == b.job_key && a.workload_digest == b.workload_digest &&
+         a.config_digest == b.config_digest &&
+         a.engine_version == b.engine_version &&
+         a.bench_schema == b.bench_schema;
+}
+
+// Moves a corrupt entry aside (forensics), or deletes it when the rename
+// fails. Deliberately a direct ::rename, not the injectable shim: this
+// is the repair path, and an armed rename-fail plan must target the
+// Store publish rename, not the cleanup.
+void Quarantine(const std::string& path) {
+#if DSA_HAVE_CACHE_FS
+  const std::string aside = path + ".quarantine";
+  if (::rename(path.c_str(), aside.c_str()) != 0) (void)::unlink(path.c_str());
+#else
+  (void)path;
+#endif
 }
 
 }  // namespace
@@ -203,80 +226,23 @@ bool ResultCache::Load(const CacheKey& key, sim::JobOutcome& out) {
   const std::string path = dir_ + "/" + key.FileName();
   bool readable = false;
   const std::string data = Slurp(path, readable);
-  if (!readable) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return false;
-  }
-  // Entry line: `CCCCCCCC <json>\n` — complete, CRC-matching, parseable,
-  // and carrying the exact key it claims to answer for. Anything less is
-  // quarantined and recomputed, never trusted.
-  const auto quarantine = [&] {
-#if DSA_HAVE_CACHE_FS
-    const std::string aside = path + ".quarantine";
-    if (::rename(path.c_str(), aside.c_str()) != 0) (void)::unlink(path.c_str());
-#endif
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.quarantined;
-    ++stats_.misses;
-  };
-  std::uint64_t crc = 0;
-  if (data.size() < 10 || data.back() != '\n' || data[8] != ' ' ||
-      !ParseHexU64(data.substr(0, 8), crc)) {
-    quarantine();
-    return false;
-  }
-  const std::string payload = data.substr(9, data.size() - 10);
-  if (resilience::Crc32(payload.data(), payload.size()) != crc) {
-    quarantine();
-    return false;
-  }
-  resilience::JsonValue entry;
-  if (!resilience::ParseJson(payload, entry) || !entry.is_object()) {
-    quarantine();
-    return false;
-  }
-  const auto field = [&entry](std::string_view name) -> std::string {
-    const resilience::JsonValue* v = entry.Find(name);
-    return v != nullptr ? v->AsString() : std::string();
-  };
-  std::uint64_t wl_digest = 0;
-  std::uint64_t cfg_digest = 0;
-  const bool digests_ok =
-      ParseHexU64(field("workload_digest").substr(
-                      field("workload_digest").rfind("0x") == 0 ? 2 : 0),
-                  wl_digest) &&
-      ParseHexU64(field("config_digest").substr(
-                      field("config_digest").rfind("0x") == 0 ? 2 : 0),
-                  cfg_digest);
-  const resilience::JsonValue* cell = entry.Find("cell");
-  if (field("schema") != kCacheEntrySchema || !digests_ok ||
-      cell == nullptr || !cell->is_object()) {
-    quarantine();
-    return false;
-  }
-  // A well-formed entry for a different key (hash collision, copied
-  // file) is a miss, not corruption — leave it in place.
-  if (field("key") != key.job_key || wl_digest != key.workload_digest ||
-      cfg_digest != key.config_digest ||
-      field("engine") != key.engine_version ||
-      field("bench_schema") != key.bench_schema) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.misses;
-    return false;
-  }
-  std::string parsed_key;
-  sim::JobOutcome parsed;
-  if (!resilience::ParseOutcomePayload(resilience::DumpJson(*cell),
-                                       parsed_key, parsed) ||
-      parsed_key != key.job_key) {
-    quarantine();
-    return false;
-  }
-  out = std::move(parsed);
+  // Anything less than a complete, CRC-matching, parseable entry is
+  // quarantined and recomputed, never trusted. A well-formed entry for a
+  // different key (hash collision, copied file) is a miss, not
+  // corruption — it stays in place.
+  Entry entry;
+  const bool corrupt = readable && !ParseEntry(data, entry);
+  const bool hit = readable && !corrupt && SameKey(entry.key, key);
+  if (corrupt) Quarantine(path);
+  if (hit) out = std::move(entry.cell);
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.hits;
-  return true;
+  if (corrupt) ++stats_.quarantined;
+  if (hit) {
+    ++stats_.hits;
+  } else {
+    ++stats_.misses;
+  }
+  return hit;
 }
 
 bool ResultCache::Store(const CacheKey& key, const sim::JobOutcome& out) {
@@ -389,16 +355,12 @@ ScrubStats ResultCache::Scrub() {
     bool readable = false;
     const std::string data = Slurp(path, readable);
     ++s.checked;
-    if (readable && EntryStructurallyValid(data)) {
+    Entry entry;
+    if (readable && ParseEntry(data, entry)) {
       ++s.ok;
       continue;
     }
-    // Deliberately a direct ::rename, not the injectable shim: the scrub
-    // is the repair path, and an armed rename-fail plan must target the
-    // Store publish rename, not the cleanup.
-    const std::string aside = path + ".quarantine";
-    if (::rename(path.c_str(), aside.c_str()) != 0)
-      (void)::unlink(path.c_str());
+    Quarantine(path);
     ++s.quarantined;
   }
 #endif

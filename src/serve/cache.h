@@ -1,19 +1,21 @@
-// Persistent content-addressed result cache of the serving daemon
-// (docs/SERVING.md): one file per completed cell, keyed by the workload
-// digest, the config digest, the engine version and the bench-schema
-// version, so a daemon restart — including a kill -9 mid-sweep — serves
-// every previously completed cell bit-identically without re-simulating,
-// and any engine or schema change invalidates the whole cache by
-// construction (the version labels are part of the key hash, so stale
-// entries are simply never addressed again).
+// Persistent content-addressed result cache (docs/SERVING.md), the one
+// durable result store: the serving daemon answers from it, and bench
+// drivers run with --cache DIR resume through it (docs/RESILIENCE.md).
+// One file per completed cell, keyed by the workload digest, the config
+// digest, the engine version and the bench-schema version, so a restart —
+// including a kill -9 mid-sweep — serves every previously completed cell
+// bit-identically without re-simulating, and any engine or schema change
+// invalidates the whole cache by construction (the version labels are
+// part of the key hash, so stale entries are simply never addressed
+// again).
 //
-// Entry format: one journal-style CRC-framed line, `CCCCCCCC <json>\n`
-// (the same framing as the crash-safe journal, docs/RESILIENCE.md),
-// where the JSON carries the full key for verification plus the cell's
-// serialized JobOutcome. Writes go to a temporary sibling, fsync, then
-// an atomic rename — a torn write can never be observed under the final
-// name. A corrupt or mismatched entry is quarantined (renamed to
-// `<name>.quarantine`) and recomputed instead of trusted.
+// Entry format: one CRC-framed line, `CCCCCCCC <json>\n` (CRC-32 and
+// cell encoding from resilience/codec.h), where the JSON carries the
+// full key for verification plus the cell's serialized JobOutcome.
+// Writes go to a temporary sibling, fsync, then an atomic rename — a torn
+// write can never be observed under the final name. A corrupt entry is
+// quarantined (renamed to `<name>.quarantine`) and recomputed instead of
+// trusted.
 #pragma once
 
 #include <cstdint>
@@ -26,12 +28,11 @@
 
 namespace dsa::serve {
 
-// Version labels baked into every cache key. kEngineVersion (sim/digest.h)
-// tracks the simulated model; kBenchSchema tracks the serialized-outcome
-// contract (docs/BENCH_SCHEMA.md) and must match the schema WriteBenchJson
-// emits.
+// Version labels baked into every cache key (both defined in sim/digest.h):
+// kEngineVersion tracks the simulated model, kBenchSchema the
+// serialized-outcome contract WriteBenchJson emits.
+using sim::kBenchSchema;
 using sim::kEngineVersion;
-inline constexpr std::string_view kBenchSchema = "dsa-bench-json/6";
 inline constexpr std::string_view kCacheEntrySchema = "dsa-serve-cache/1";
 
 // FNV-1a 64-bit digest of the workload's complete definition: name,

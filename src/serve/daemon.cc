@@ -14,7 +14,6 @@
 
 #include "resilience/iofault.h"
 #include "resilience/isolate.h"
-#include "resilience/journal.h"
 #include "resilience/mini_json.h"
 #include "resilience/supervisor.h"
 #include "serve/flags.h"
@@ -152,7 +151,7 @@ bool Daemon::Init(std::string* error) {
     return false;
   }
   // Install the host-I/O fault plan before anything touches the disk, so
-  // the very first store/journal write already draws from the plan's
+  // the very first cache store already draws from the plan's
   // deterministic opportunity sequence.
   if (!opts_.io_fault_plan.empty()) {
     try {

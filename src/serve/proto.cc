@@ -3,8 +3,8 @@
 #include <cerrno>
 #include <cstring>
 
+#include "resilience/codec.h"
 #include "resilience/iofault.h"
-#include "resilience/journal.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>

@@ -1,8 +1,9 @@
-// Content digests shared by the stores that hand back a stored result
-// instead of simulating it: the serving daemon's cache (serve/cache.h)
-// and the crash-safe run journal (resilience/journal.h). A stored result
-// may be reused only under the engine version and the config digest it
-// was computed with.
+// Content digests and version labels of the content-addressed result
+// cache (serve/cache.h), the one store that hands back a stored result
+// instead of simulating it — for dsa_serve and for bench drivers run with
+// --cache alike. A stored result is addressed by the engine version, the
+// bench schema and the config digest it was computed under, so it is
+// never reused under any other.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +17,10 @@ namespace dsa::sim {
 // Bump on any change that can alter simulated results (timing, energy,
 // engine behaviour): every stored result is keyed or checked against it.
 inline constexpr std::string_view kEngineVersion = "dsa-engine/9";
+
+// The serialized-report contract (docs/BENCH_SCHEMA.md): WriteBenchJson
+// emits it as the "schema" marker, and every cache key carries it.
+inline constexpr std::string_view kBenchSchema = "dsa-bench-json/7";
 
 // FNV-1a, 64-bit: the repo's digest primitive (the output-digest oracle
 // uses the same construction), here accumulated field-by-field so the

@@ -35,14 +35,10 @@ enum class DsaErrorCode : std::uint8_t {
   // Host-I/O failure (src/resilience/iofault.h): a write/fsync/rename/
   // open the durability story depends on failed — disk full, flaky
   // medium, fd exhaustion. The cell result itself is unaffected (the
-  // cache degrades to recompute-without-promote; the journal counts the
-  // miss), but the failure is typed so nothing claims durability it did
+  // cache degrades to recompute-without-promote and counts the failed
+  // store), but the failure is typed so nothing claims durability it did
   // not deliver.
   kIoFault,
-  // A resume journal was recorded under a different engine version or
-  // SystemConfig than the run resuming from it: its cells are not what
-  // this binary and config would compute, so the resume is refused.
-  kStaleResume,
 };
 
 [[nodiscard]] constexpr std::string_view ToString(DsaErrorCode c) {
@@ -58,7 +54,6 @@ enum class DsaErrorCode : std::uint8_t {
     case DsaErrorCode::kBreakerOpen: return "breaker-open";
     case DsaErrorCode::kOverload: return "overload";
     case DsaErrorCode::kIoFault: return "io-fault";
-    case DsaErrorCode::kStaleResume: return "stale-resume";
   }
   return "?";
 }

@@ -73,24 +73,6 @@ std::string BatchRunner::Submit(BatchJob job) {
     auto pending = std::make_unique<Pending>();
     pending->job = std::move(job);
     pending->key = key;
-    // Resume seam: a journaled cell is answered without executing. The
-    // restore callback fills the full outcome (runs, stats, status), so
-    // downstream consumers cannot tell it apart from a fresh execution.
-    pending->outcome.config_digest = ConfigDigest(pending->job.config);
-    if (opts_.restore_fn) {
-      JobOutcome& out = pending->outcome;
-      if (opts_.restore_fn(key, out)) {
-        out.key = key;
-        out.workload_key = WorkloadKey(pending->job);
-        out.mode = pending->job.mode;
-        out.config_tag = pending->job.config_tag;
-        out.restored = true;
-        pending->done = true;
-        ++restored_cells_;
-        jobs_.emplace(key, std::move(pending));
-        return key;
-      }
-    }
     queue_.push_back(pending.get());
     ++in_flight_;
     jobs_.emplace(key, std::move(pending));
@@ -124,11 +106,16 @@ void BatchRunner::WorkerLoop() {
       p = queue_.front();
       queue_.pop_front();
     }
-    const bool drained = opts_.drain != nullptr &&
+    // Resume seam, off the lock: a stored cell is answered without
+    // executing. The restore callback fills the full outcome (runs,
+    // stats, status), so downstream consumers cannot tell it apart from
+    // a fresh execution.
+    const bool restored = opts_.restore_fn && Restore(*p);
+    const bool drained = !restored && opts_.drain != nullptr &&
                          opts_.drain->load(std::memory_order_relaxed);
     if (drained) {
       // Graceful drain: never start new work, but let in-flight cells
-      // finish so the journal and the partial report stay consistent.
+      // finish so the cache and the partial report stay consistent.
       JobOutcome& out = p->outcome;
       out.key = p->key;
       out.workload_key = WorkloadKey(p->job);
@@ -136,12 +123,13 @@ void BatchRunner::WorkerLoop() {
       out.config_tag = p->job.config_tag;
       out.cell_status = "cancelled";
       out.error = "drained: batch interrupted before this cell executed";
-    } else {
+    } else if (!restored) {
       Execute(*p);
-      if (opts_.on_outcome) opts_.on_outcome(p->outcome);
+      if (opts_.on_outcome) opts_.on_outcome(p->job, p->outcome);
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
+      if (restored) ++restored_cells_;
       if (drained) interrupted_ = true;
       p->done = true;
       --in_flight_;
@@ -199,6 +187,20 @@ void ExecuteCell(const BatchJob& job, const RunnerOptions& opts,
     if (rep == 0) out.wall_ms = ElapsedMs(t0);
   }
   out.cell_status = "ok";
+}
+
+bool BatchRunner::Restore(Pending& p) {
+  JobOutcome& out = p.outcome;
+  if (!opts_.restore_fn(p.job, out)) {
+    out = JobOutcome{};  // a miss leaves nothing behind for Execute
+    return false;
+  }
+  out.key = p.key;
+  out.workload_key = WorkloadKey(p.job);
+  out.mode = p.job.mode;
+  out.config_tag = p.job.config_tag;
+  out.restored = true;
+  return true;
 }
 
 void BatchRunner::Execute(Pending& p) {
@@ -389,7 +391,7 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
   }
 
   w.Open(nullptr, '{');
-  w.Str("schema", "dsa-bench-json/6");
+  w.Str("schema", std::string(kBenchSchema));
   w.Str("bench", bench_name);
   w.U64("jobs", static_cast<std::uint64_t>(runner.options().jobs));
   w.U64("repeats", static_cast<std::uint64_t>(runner.options().repeats));
@@ -403,23 +405,22 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
   w.Str("run_status", extras != nullptr ? extras->run_status
                                         : (report.interrupted ? "interrupted"
                                                               : "complete"));
-  if (extras != nullptr && !extras->journal_path.empty()) {
-    w.Open("journal", '{');
-    w.Str("path", extras->journal_path);
-    w.U64("restored", extras->journal_restored);
-    w.U64("appended", extras->journal_appended);
-    w.U64("write_failures", extras->journal_write_failures);
-    w.U64("fsync_failures", extras->journal_fsync_failures);
-    if (extras->journal_write_failures > 0 ||
-        extras->journal_fsync_failures > 0) {
-      // Typed degradation instead of silent success: the journal hit the
-      // host's disk limits and some records may not be durable.
+  if (extras != nullptr && !extras->cache_path.empty()) {
+    w.Open("cache", '{');
+    w.Str("path", extras->cache_path);
+    w.U64("hits", extras->cache_hits);
+    w.U64("stores", extras->cache_stores);
+    w.U64("store_failures", extras->cache_store_failures);
+    w.U64("fsync_failures", extras->cache_fsync_failures);
+    w.U64("quarantined", extras->cache_quarantined);
+    if (extras->cache_store_failures > 0 || extras->cache_fsync_failures > 0) {
+      // Typed degradation instead of silent success: the cache hit the
+      // host's disk limits and some cells may not be durable.
       w.Str("warning",
-            "[io-fault] " +
-                std::to_string(extras->journal_write_failures) +
-                " write failure(s), " +
-                std::to_string(extras->journal_fsync_failures) +
-                " fsync failure(s): journal durability not guaranteed");
+            "[io-fault] " + std::to_string(extras->cache_store_failures) +
+                " store failure(s), " +
+                std::to_string(extras->cache_fsync_failures) +
+                " fsync failure(s): cache durability not guaranteed");
     }
     w.Close('}');
   }

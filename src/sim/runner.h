@@ -65,12 +65,10 @@ struct JobOutcome {
   std::string cell_status = "ok";
   // run_fn invocations, including retried attempts (>= runs.size()).
   std::uint64_t attempts = 0;
-  // True when the outcome was replayed from a crash-safe journal instead
-  // of executed in this process (RunnerOptions::restore_fn).
+  // True when the outcome was restored from the result cache instead of
+  // executed in this process (RunnerOptions::restore_fn).
   bool restored = false;
-  // ConfigDigest (sim/digest.h) of the config the cell runs under. Set on
-  // submission, before restore_fn sees the outcome, so a restorer can
-  // refuse a result that was recorded under a different config.
+  // ConfigDigest (sim/digest.h) of the config the cell ran under.
   std::uint64_t config_digest = 0;
 
   [[nodiscard]] const RunResult& result() const { return runs.at(0); }
@@ -93,14 +91,17 @@ struct RunnerOptions {
   // wrap execution in a forked child with a deadline and circuit breaker.
   std::function<RunResult(const Workload&, RunMode, const SystemConfig&)>
       run_fn;
-  // Resume seam: consulted once per distinct job at Submit time. Returning
-  // true marks the cell done with the filled outcome (counted as restored)
-  // instead of queueing it — the crash-safe journal replays through this.
-  std::function<bool(const std::string& key, JobOutcome& out)> restore_fn;
+  // Resume seam: consulted once per distinct job on the worker thread,
+  // before it executes (never under the runner's lock — a lookup may
+  // digest the whole workload). Returning true marks the cell done with
+  // the filled outcome (counted as restored) instead of executing it; the
+  // --cache binding (bench/bench_util.h) loads from the result cache here.
+  std::function<bool(const BatchJob& job, JobOutcome& out)> restore_fn;
   // Completion hook: called from the worker thread right after a cell
-  // finished executing (not for restored or drained cells). The journal
-  // appends through this; it must not call back into the runner.
-  std::function<void(const JobOutcome&)> on_outcome;
+  // finished executing (not for restored or drained cells). The --cache
+  // binding stores completed cells through this; it must not call back
+  // into the runner.
+  std::function<void(const BatchJob& job, const JobOutcome& out)> on_outcome;
   // Graceful-drain flag (owned by the caller, typically set from a
   // SIGINT/SIGTERM handler): once true, queued cells are marked
   // "cancelled" instead of executed; in-flight cells finish normally.
@@ -113,7 +114,7 @@ struct BatchReport {
   std::uint64_t executed_runs = 0;  // completed runs across all cells
   std::uint64_t faulted_cells = 0;  // cells with cell_status != "ok"
   std::uint64_t memo_hits = 0;      // submissions answered from the memo
-  // Cells answered from the resume journal (RunnerOptions::restore_fn)
+  // Cells answered from the result cache (RunnerOptions::restore_fn)
   // and cells abandoned by a graceful drain, respectively. Restored cells
   // contribute their recorded runs to executed_runs so a resumed batch
   // reconciles exactly like the uninterrupted one.
@@ -186,6 +187,7 @@ class BatchRunner {
   };
 
   void WorkerLoop();
+  bool Restore(Pending& p);  // restore_fn hit: fills p.outcome
   void Execute(Pending& p);
 
   RunnerOptions opts_;
@@ -223,22 +225,25 @@ struct BenchJsonExtras {
   std::string run_status = "complete";
   bool breaker_enabled = false;
   std::vector<BreakerCensusEntry> breaker;
-  std::string journal_path;  // empty = no journal attached
-  std::uint64_t journal_restored = 0;  // cells replayed on --resume
-  std::uint64_t journal_appended = 0;  // cells appended this run
-  // Host-I/O failures while appending (resilience/journal.h): non-zero
-  // means durability was NOT delivered and the journal block carries a
-  // typed "[io-fault]" warning instead of silently claiming it.
-  std::uint64_t journal_write_failures = 0;
-  std::uint64_t journal_fsync_failures = 0;
+  // Result-cache census of a --cache run (serve/cache.h); empty path =
+  // no cache attached. Non-zero store or fsync failures mean durability
+  // was NOT delivered, and the cache block carries a typed "[io-fault]"
+  // warning instead of silently claiming it.
+  std::string cache_path;
+  std::uint64_t cache_hits = 0;  // cells restored instead of executed
+  std::uint64_t cache_stores = 0;
+  std::uint64_t cache_store_failures = 0;
+  std::uint64_t cache_fsync_failures = 0;
+  std::uint64_t cache_quarantined = 0;
 };
 
-// Writes the batch as machine-readable JSON (schema "dsa-bench-json/5"):
+// Writes the batch as machine-readable JSON (schema kBenchSchema,
+// sim/digest.h):
 // per-job cycles, speedup over the workload's scalar baseline when one is
 // in the batch, DSA stats (including the speculation guard's rollback and
 // blacklist counters), energy breakdown, wall time, host simulation
 // throughput (the `host` block), fault-injection report (`faults` block,
-// armed runs only), per-cell status/attempts, the run_status/journal/
+// armed runs only), per-cell status/attempts, the run_status/cache/
 // breaker resilience census (docs/RESILIENCE.md), the `stream`/`gen`
 // blocks of streaming and generated workloads, plus the oracle
 // verdict. Failed cells appear with a minimal payload so a poisoned cell

@@ -1,7 +1,8 @@
-// Resilience-layer tests (src/resilience, docs/RESILIENCE.md): journal
-// framing and torn-tail truncation, kill-and-resume bit-equivalence,
-// crash/deadline/OOM classification of isolated cells, circuit-breaker
-// state transitions, and the graceful drain. Everything runs against the
+// Resilience-layer tests (src/resilience, docs/RESILIENCE.md): the
+// result codec round trip, crash/deadline/OOM classification of isolated
+// cells, circuit-breaker state transitions, the graceful drain and
+// host-I/O fault injection. Resume through the result cache is tested
+// with the cache (tests/test_serve.cc). Everything runs against the
 // real BatchRunner — the same seams the bench drivers use.
 #include <gtest/gtest.h>
 #include <fcntl.h>
@@ -22,13 +23,14 @@
 
 #include "fault/fault.h"
 #include "resilience/breaker.h"
+#include "resilience/codec.h"
 #include "resilience/iofault.h"
 #include "resilience/isolate.h"
-#include "resilience/journal.h"
 #include "resilience/mini_json.h"
 #include "resilience/supervisor.h"
 #include "sim/error.h"
 #include "sim/runner.h"
+#include "workloads/gen/generator.h"
 #include "workloads/workloads.h"
 
 // RLIMIT_AS-based OOM containment cannot run under ASan/TSan: the
@@ -68,11 +70,6 @@ std::string Slurp(const std::string& path) {
   return ss.str();
 }
 
-void Spew(const std::string& path, const std::string& data) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out << data;
-}
-
 // ---------------------------------------------------------------------------
 // CRC and mini_json plumbing.
 
@@ -107,7 +104,7 @@ TEST(MiniJson, RejectsMalformedInput) {
 }
 
 // ---------------------------------------------------------------------------
-// Journal: round trip, torn tails, CRC corruption.
+// Codec: the one encoding of stored and shipped cells.
 
 JobOutcome RunOneCell(const Workload& wl, RunMode mode) {
   RunnerOptions o;
@@ -119,271 +116,60 @@ JobOutcome RunOneCell(const Workload& wl, RunMode mode) {
   return runner.outcomes().at(key);
 }
 
-TEST(Journal, RoundTripsACompletedCell) {
+TEST(Codec, RoundTripsACompletedCell) {
   const JobOutcome out = RunOneCell(workloads::MakeVecAdd(512), RunMode::kDsa);
-  const std::string path = TempPath("roundtrip");
-  std::remove(path.c_str());
-  {
-    Journal j;
-    ASSERT_TRUE(j.Open(path, JournalOptions{}));
-    j.Append(out);
-    EXPECT_EQ(j.appended(), 1u);
-  }
-  ReplayResult replay;
-  ASSERT_TRUE(ReplayJournal(path, replay));
-  EXPECT_EQ(replay.records, 2u);  // header + one cell
-  EXPECT_EQ(replay.torn_bytes, 0u);
-  ASSERT_EQ(replay.cells.count(out.key), 1u);
-  const JobOutcome& back = replay.cells.at(out.key);
+  JsonValue j;
+  ASSERT_TRUE(ParseJson(SerializeOutcome(out), j));
+  JobOutcome back;
+  ASSERT_TRUE(ParseOutcome(j, back));
   // Bit-identical round trip of every deterministic field.
+  EXPECT_EQ(back.key, out.key);
   EXPECT_EQ(SerializeOutcome(back), SerializeOutcome(out));
   EXPECT_EQ(back.runs.size(), out.runs.size());
   EXPECT_EQ(back.result().output_digest, out.result().output_digest);
   EXPECT_EQ(back.result().cycles, out.result().cycles);
   EXPECT_EQ(back.result().energy.total(), out.result().energy.total());
-  std::remove(path.c_str());
 }
 
-TEST(Journal, ReplayTruncatesTornTailAndReopenDropsIt) {
-  const JobOutcome out = RunOneCell(workloads::MakeVecAdd(512), RunMode::kDsa);
-  const std::string path = TempPath("torn");
-  std::remove(path.c_str());
-  {
-    Journal j;
-    ASSERT_TRUE(j.Open(path, JournalOptions{}));
-    j.Append(out);
-  }
-  const std::string intact = Slurp(path);
-  // A half-written record (no trailing newline) is a torn tail.
-  Spew(path, intact + "12345678 {\"kind\":\"cell\",\"key\":\"half");
-  ReplayResult replay;
-  ASSERT_TRUE(ReplayJournal(path, replay));
-  EXPECT_EQ(replay.cells.size(), 1u);
-  EXPECT_EQ(replay.valid_bytes, intact.size());
-  EXPECT_GT(replay.torn_bytes, 0u);
-  // Re-opening for append truncates the tear so new records start on a
-  // clean frame boundary.
-  {
-    Journal j;
-    ASSERT_TRUE(j.Open(path, JournalOptions{}));
-    JobOutcome second = out;
-    second.key = "second-cell";
-    j.Append(second);
-  }
-  ReplayResult after;
-  ASSERT_TRUE(ReplayJournal(path, after));
-  EXPECT_EQ(after.torn_bytes, 0u);
-  EXPECT_EQ(after.cells.size(), 2u);
-  EXPECT_EQ(after.cells.count("second-cell"), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(Journal, CrcCorruptionInvalidatesTheRecordAndEverythingAfter) {
-  const JobOutcome out = RunOneCell(workloads::MakeVecAdd(512), RunMode::kDsa);
-  const std::string path = TempPath("crc");
-  std::remove(path.c_str());
-  {
-    Journal j;
-    ASSERT_TRUE(j.Open(path, JournalOptions{}));
-    j.Append(out);
-    JobOutcome second = out;
-    second.key = "second-cell";
-    j.Append(second);
-  }
-  std::string data = Slurp(path);
-  // Flip one payload byte of the first cell record (line 2).
-  const std::size_t line2 = data.find('\n') + 1;
-  data[line2 + 15] ^= 0x01;
-  Spew(path, data);
-  ReplayResult replay;
-  ASSERT_TRUE(ReplayJournal(path, replay));
-  // Replay must stop at the corrupted record: trusting anything after an
-  // invalid frame would resurrect records with no integrity anchor.
-  EXPECT_EQ(replay.cells.size(), 0u);
-  EXPECT_EQ(replay.records, 1u);  // header only
-  EXPECT_GT(replay.torn_bytes, 0u);
-  std::remove(path.c_str());
-}
-
-TEST(Journal, MissingFileReplaysEmptyAndBadHeaderFails) {
-  ReplayResult replay;
-  ASSERT_TRUE(ReplayJournal(TempPath("nonexistent"), replay));
-  EXPECT_EQ(replay.records, 0u);
-
-  const std::string path = TempPath("badheader");
-  Spew(path, "41414141 {\"kind\":\"meta\",\"schema\":\"other/9\"}\n");
-  // Wrong CRC -> the header is torn -> treated as an empty journal.
-  ReplayResult torn;
-  ASSERT_TRUE(ReplayJournal(path, torn));
-  EXPECT_EQ(torn.records, 0u);
-  // Valid CRC but wrong schema -> explicit failure.
-  const std::string payload = "{\"kind\":\"meta\",\"schema\":\"other/9\"}";
-  char crc[16];
-  std::snprintf(crc, sizeof(crc), "%08x ", Crc32(payload.data(),
-                                                 payload.size()));
-  Spew(path, std::string(crc) + payload + "\n");
-  std::string err;
-  ReplayResult bad;
-  EXPECT_FALSE(ReplayJournal(path, bad, &err));
-  EXPECT_NE(err.find("schema"), std::string::npos);
-  std::remove(path.c_str());
-}
-
-TEST(Journal, ParsesFsyncPolicyNames) {
-  FsyncPolicy p = FsyncPolicy::kNone;
-  EXPECT_TRUE(ParseFsyncPolicy("always", p));
-  EXPECT_EQ(p, FsyncPolicy::kAlways);
-  EXPECT_TRUE(ParseFsyncPolicy("interval", p));
-  EXPECT_EQ(p, FsyncPolicy::kInterval);
-  EXPECT_TRUE(ParseFsyncPolicy("none", p));
-  EXPECT_EQ(p, FsyncPolicy::kNone);
-  EXPECT_FALSE(ParseFsyncPolicy("sometimes", p));
-}
-
-// ---------------------------------------------------------------------------
-// Resume: a journaled batch replays with zero re-executions and
-// bit-identical outcomes.
-
-TEST(Resume, RestoresJournaledCellsWithoutReexecution) {
-  const std::string path = TempPath("resume");
-  std::remove(path.c_str());
-  const Workload wl = workloads::MakeVecAdd(512);
-
-  // Pass 1: execute and journal the full matrix.
-  std::vector<std::string> keys;
-  std::map<std::string, std::string> serialized;
-  {
-    Journal journal;
-    ASSERT_TRUE(journal.Open(path, JournalOptions{}));
-    RunnerOptions o;
-    o.jobs = 2;
-    o.repeats = 2;
-    o.on_outcome = [&journal](const JobOutcome& out) {
-      if (out.cell_status == "ok") journal.Append(out);
-    };
-    BatchRunner runner(o);
-    const auto ks = runner.SubmitMatrix(wl);
-    keys.assign(ks.begin(), ks.end());
-    const BatchReport report = runner.Finish();
-    ASSERT_TRUE(report.ok());
-    for (const std::string& k : keys) {
-      serialized[k] = SerializeOutcome(runner.outcomes().at(k));
+TEST(Codec, CarriesStreamAndGeneratorMetadata) {
+  // The bench JSON's `stream` and `gen` blocks read these fields, so a
+  // restored or isolated cell must carry them like an in-process run.
+  for (const Workload& wl :
+       {workloads::MakeStrCopy(500),
+        workloads::gen::MakeGenerated(3, workloads::gen::LoopClass::kSentinel)}) {
+    const sim::RunResult r = sim::Run(wl, RunMode::kDsa, SystemConfig{});
+    ASSERT_TRUE(r.stream_bytes > 0 || r.gen.has_value()) << wl.name;
+    sim::RunResult back;
+    ASSERT_TRUE(ParseRunResult(SerializeRunResult(r), back)) << wl.name;
+    EXPECT_EQ(back.stream_bytes, r.stream_bytes) << wl.name;
+    ASSERT_EQ(back.gen.has_value(), r.gen.has_value()) << wl.name;
+    if (r.gen.has_value()) {
+      EXPECT_EQ(back.gen->seed, r.gen->seed);
+      EXPECT_EQ(back.gen->loop_class, r.gen->loop_class);
+      EXPECT_EQ(back.gen->count, r.gen->count);
     }
+    EXPECT_EQ(SerializeRunResult(back), SerializeRunResult(r)) << wl.name;
   }
-
-  // Pass 2: resume through the supervisor; nothing may execute.
-  SupervisorOptions so;
-  so.resume_path = path;
-  so.install_signal_drain = false;
-  Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
-  std::atomic<int> executions{0};
-  RunnerOptions o2;
-  o2.jobs = 2;
-  o2.repeats = 2;
-  o2.run_fn = [&executions](const Workload& w, RunMode m,
-                            const SystemConfig& c) {
-    ++executions;
-    return sim::Run(w, m, c);
-  };
-  sup.Attach(o2);
-  BatchRunner runner2(o2);
-  (void)runner2.SubmitMatrix(wl);
-  const BatchReport report2 = runner2.Finish();
-  EXPECT_TRUE(report2.ok());
-  EXPECT_EQ(executions.load(), 0);
-  EXPECT_EQ(report2.restored_cells, 4u);
-  // Restored cells keep their recorded run count, so the report
-  // reconciles exactly like the uninterrupted batch.
-  EXPECT_EQ(report2.executed_runs, 4u * 2u);
-  for (const std::string& k : keys) {
-    const JobOutcome& out = runner2.outcomes().at(k);
-    EXPECT_TRUE(out.restored) << k;
-    EXPECT_EQ(out.cell_status, "ok") << k;
-    EXPECT_EQ(SerializeOutcome(out), serialized[k]) << k;
-  }
-  std::remove(path.c_str());
 }
 
-TEST(Resume, RefusesCellsJournaledUnderAnotherConfig) {
-  // The stale-resume defect: a journal written by a clean run, resumed by
-  // a run with a fault plan, used to restore the clean cells as if they
-  // were the faulted run's — Susan E@neon-dsa at 132229 cycles where the
-  // faulted run computes 202732.
-  const std::string path = TempPath("stale_config");
-  std::remove(path.c_str());
-  const Workload wl = workloads::MakeSusanE();
-  SystemConfig faulted;
-  faulted.faults = fault::ParseFaultPlan("lane@0+;seed=7");
-  {
-    SupervisorOptions so;
-    so.journal_path = path;
-    so.install_signal_drain = false;
-    Supervisor sup(so);
-    ASSERT_TRUE(sup.Init());
-    RunnerOptions o;
-    o.jobs = 1;
-    o.repeats = 1;
-    sup.Attach(o);
-    BatchRunner runner(o);
-    const std::string key = runner.Submit(wl, RunMode::kDsa, {});
-    EXPECT_EQ(runner.Result(key).cycles, 132229u);
-    ASSERT_TRUE(runner.Finish().ok());
+TEST(Codec, RefusesACellWithoutItsKeyOrResult) {
+  const JobOutcome out = RunOneCell(workloads::MakeVecAdd(256), RunMode::kScalar);
+  const std::string good = SerializeOutcome(out);
+  JobOutcome back;
+  for (const char* field : {"\"key\"", "\"result\"", "\"attempts\""}) {
+    // Rename the field so the object still parses but no longer carries it.
+    std::string bad = good;
+    const std::size_t at = bad.find(field);
+    ASSERT_NE(at, std::string::npos) << field;
+    bad.replace(at, 2, "\"x");
+    JsonValue j;
+    ASSERT_TRUE(ParseJson(bad, j)) << field;
+    EXPECT_FALSE(ParseOutcome(j, back)) << field;
   }
-  EXPECT_EQ(sim::Run(wl, RunMode::kDsa, faulted).cycles, 202732u);
-
-  SupervisorOptions so;
-  so.resume_path = path;
-  so.install_signal_drain = false;
-  Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
-  RunnerOptions o;
-  o.jobs = 1;
-  o.repeats = 1;
-  sup.Attach(o);
-  BatchRunner runner(o);
-  try {
-    (void)runner.Submit(wl, RunMode::kDsa, faulted);
-    ADD_FAILURE() << "stale cell was restored";
-  } catch (const sim::DsaError& e) {
-    EXPECT_EQ(e.code(), sim::DsaErrorCode::kStaleResume);
-    EXPECT_NE(std::string(e.what()).find("[stale-resume]"), std::string::npos);
-  }
-  // The config the journal was written under still resumes.
-  EXPECT_EQ(runner.Result(runner.Submit(wl, RunMode::kDsa, {})).cycles,
-            132229u);
-  EXPECT_EQ(runner.Finish().restored_cells, 1u);
-  std::remove(path.c_str());
-}
-
-TEST(Resume, RefusesJournalFromAnotherEngineVersion) {
-  const std::string path = TempPath("stale_engine");
-  const std::string payload =
-      "{\"kind\":\"meta\",\"schema\":\"dsa-journal/2\","
-      "\"engine\":\"dsa-engine/0\"}";
-  char crc[10];
-  std::snprintf(crc, sizeof(crc), "%08x ",
-                Crc32(payload.data(), payload.size()));
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << crc << payload << "\n";
-  }
-  ReplayResult replay;
-  std::string err;
-  EXPECT_FALSE(ReplayJournal(path, replay, &err));
-  EXPECT_NE(err.find("[stale-resume]"), std::string::npos) << err;
-  EXPECT_NE(err.find("dsa-engine/0"), std::string::npos) << err;
-  SupervisorOptions so;
-  so.resume_path = path;
-  so.install_signal_drain = false;
-  Supervisor sup(so);
-  EXPECT_FALSE(sup.Init(&err));
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
 // Isolation: crash/deadline/OOM classification with surviving siblings.
-
 #if defined(__unix__) || defined(__APPLE__)
 
 TEST(Isolate, ClassifiesSignalDeathAsCrashedWhileSiblingsComplete) {
@@ -392,7 +178,6 @@ TEST(Isolate, ClassifiesSignalDeathAsCrashedWhileSiblingsComplete) {
   so.isolate = true;
   so.install_signal_drain = false;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 2;
   o.repeats = 1;
@@ -424,7 +209,6 @@ TEST(Isolate, ClassifiesSegfaultAsCrashed) {
   so.isolate = true;
   so.install_signal_drain = false;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 1;
   o.repeats = 1;
@@ -457,7 +241,6 @@ TEST(Isolate, KillsCellsPastTheirDeadline) {
   so.deadline_ms = 150;
   so.install_signal_drain = false;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 2;
   o.repeats = 1;
@@ -494,7 +277,6 @@ TEST(Isolate, ClassifiesAllocationBeyondTheMemoryCapAsOom) {
   so.mem_limit_mb = 128;
   so.install_signal_drain = false;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 1;
   o.repeats = 1;
@@ -601,7 +383,6 @@ TEST(Breaker, SkipsCellsOfAFailingWorkloadInTheRunner) {
   so.breaker_probe_after = 2;
   so.install_signal_drain = false;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 1;  // serialize so the transition sequence is deterministic
   o.repeats = 1;
@@ -672,7 +453,6 @@ TEST(Drain, SupervisorReportsInterruptedRunStatus) {
   so.install_signal_drain = false;
   so.breaker_threshold = 0;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 1;
   o.repeats = 1;
@@ -759,7 +539,6 @@ TEST(Breaker, ProbeDyingWithNonDsaErrorReopensInsteadOfWedging) {
   so.breaker_probe_after = 2;
   so.install_signal_drain = false;
   Supervisor sup(so);
-  ASSERT_TRUE(sup.Init());
   RunnerOptions o;
   o.jobs = 1;  // serialize so the transition sequence is deterministic
   o.repeats = 1;
@@ -795,88 +574,6 @@ TEST(Breaker, ProbeDyingWithNonDsaErrorReopensInsteadOfWedging) {
   EXPECT_EQ(census[0].state, "open");  // wedged would read "half-open"
   EXPECT_EQ(census[0].trips, 2u);
   EXPECT_EQ(census[0].skipped, 3u);
-}
-
-// ---------------------------------------------------------------------------
-// Interval-fsync kill drill: a journal cut off at *any* byte (the disk
-// image a kill -9 between fsyncs can leave) must replay only complete,
-// bit-identical records — the torn tail is dropped, never resurrected as
-// a partial cell.
-
-TEST(Journal, TruncationAtEveryByteNeverResurrectsAPartialCell) {
-  const Workload wl = workloads::MakeVecAdd(256);
-  std::vector<JobOutcome> appended;
-  appended.push_back(RunOneCell(wl, RunMode::kScalar));
-  appended.push_back(RunOneCell(wl, RunMode::kAutoVec));
-  appended.push_back(RunOneCell(wl, RunMode::kDsa));
-
-  const std::string path = TempPath("killdrill");
-  std::remove(path.c_str());
-  {
-    Journal j;
-    JournalOptions jo;
-    jo.fsync = FsyncPolicy::kInterval;
-    jo.fsync_interval = 2;  // a crash window of up to one record
-    ASSERT_TRUE(j.Open(path, jo));
-    for (const JobOutcome& out : appended) j.Append(out);
-    EXPECT_EQ(j.appended(), appended.size());
-  }
-  const std::string intact = Slurp(path);
-  ASSERT_GT(intact.size(), 0u);
-  std::map<std::string, std::string> expected;
-  for (const JobOutcome& out : appended) {
-    expected[out.key] = SerializeOutcome(out);
-  }
-
-  const std::string cut = path + ".cut";
-  // Every byte under sanitizers is slow; a stride still crosses every
-  // record boundary because record lengths are not multiples of it.
-  const std::size_t stride = intact.size() > 4096 ? 3 : 1;
-  std::size_t max_cells = 0;
-  for (std::size_t len = 0; len <= intact.size();
-       len = (len + stride <= intact.size() ? len + stride
-                                            : len + 1)) {
-    Spew(cut, intact.substr(0, len));
-    ReplayResult replay;
-    std::string err;
-    ASSERT_TRUE(ReplayJournal(cut, replay, &err)) << "len " << len << ": "
-                                                  << err;
-    EXPECT_LE(replay.valid_bytes, len) << "len " << len;
-    // Only a prefix of the appended records may replay, each bit-equal
-    // to what was appended — a torn record yields nothing, not a
-    // half-filled cell.
-    EXPECT_LE(replay.cells.size(), appended.size());
-    for (std::size_t i = 0; i < appended.size(); ++i) {
-      const bool present = replay.cells.count(appended[i].key) > 0;
-      const bool prefix_holds = i < replay.cells.size();
-      EXPECT_EQ(present, prefix_holds)
-          << "len " << len << " cell " << appended[i].key;
-    }
-    for (const auto& [key, cell] : replay.cells) {
-      ASSERT_EQ(expected.count(key), 1u) << "len " << len;
-      EXPECT_EQ(SerializeOutcome(cell), expected.at(key))
-          << "len " << len << " cell " << key;
-    }
-    if (replay.cells.size() > max_cells) max_cells = replay.cells.size();
-  }
-  EXPECT_EQ(max_cells, appended.size());  // the full file replays fully
-
-  // And re-opening a torn journal for append keeps working: the tail is
-  // truncated, new records land on a clean frame boundary.
-  Spew(cut, intact.substr(0, intact.size() - 7));
-  {
-    Journal j;
-    ASSERT_TRUE(j.Open(cut, JournalOptions{}));
-    JobOutcome extra = appended[0];
-    extra.key = "post-truncation-cell";
-    j.Append(extra);
-  }
-  ReplayResult after;
-  ASSERT_TRUE(ReplayJournal(cut, after));
-  EXPECT_EQ(after.torn_bytes, 0u);
-  EXPECT_EQ(after.cells.count("post-truncation-cell"), 1u);
-  std::remove(cut.c_str());
-  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -1027,40 +724,6 @@ TEST(IoFaultInjector, ErrnoMatchesTheRealSyscall) {
   errno = 0;
   EXPECT_LT(IoOpen(path.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0666), 0);
   EXPECT_EQ(errno, EMFILE);
-  std::remove(path.c_str());
-}
-
-// Satellite: the journal counts refused writes/fsyncs instead of
-// swallowing them — the bench JSON surfaces them as a typed warning.
-TEST(JournalTest, CountsWriteAndFsyncFailures) {
-  IoFaultPlanGuard guard;
-  const std::string path = TempPath("iofault_journal");
-  Journal j;
-  JournalOptions opts;
-  opts.fsync = FsyncPolicy::kAlways;
-  ASSERT_TRUE(j.Open(path, opts));
-  EXPECT_EQ(j.write_failures(), 0u);
-  EXPECT_EQ(j.fsync_failures(), 0u);
-
-  JobOutcome out;
-  out.key = "cell-a";
-  out.cell_status = "ok";
-
-  InstallIoFaultPlan(ParseIoFaultPlan("fsync-fail@0+"));
-  j.Append(out);
-  EXPECT_EQ(j.write_failures(), 0u);
-  EXPECT_GE(j.fsync_failures(), 1u);
-
-  InstallIoFaultPlan(ParseIoFaultPlan("eio@0+"));
-  j.Append(out);
-  EXPECT_GE(j.write_failures(), 1u);
-
-  ClearIoFaultPlan();
-  j.Append(out);  // recovered: clean appends still land
-  j.Close();
-  ReplayResult replay;
-  ASSERT_TRUE(ReplayJournal(path, replay));
-  EXPECT_GE(replay.cells.count("cell-a"), 1u);
   std::remove(path.c_str());
 }
 

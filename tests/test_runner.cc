@@ -163,7 +163,7 @@ TEST(BatchRunner, WritesWellFormedJson) {
   EXPECT_EQ(brackets, 0);
   EXPECT_FALSE(in_string);
   for (const char* needle :
-       {"\"schema\": \"dsa-bench-json/6\"", "\"bench\": \"runner_test\"",
+       {"\"schema\": \"dsa-bench-json/7\"", "\"bench\": \"runner_test\"",
         "\"oracle\"", "\"ok\": true", "\"results\"", "\"cycles\"",
         "\"speedup_vs_scalar\"", "\"energy\"", "\"output_digest\"",
         "\"host\"", "\"mips\"", "\"dsa\"", "\"takeovers\"",

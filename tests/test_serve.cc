@@ -1,7 +1,8 @@
 // Serving-layer tests (src/serve, docs/SERVING.md): strict flag-value
 // parsing, wire-protocol framing over a socketpair, workload/config
 // digests, the persistent result cache (round trip, corruption
-// quarantine, version invalidation), the respawning worker pool,
+// quarantine, version invalidation), resume through the cache on the CLI
+// path (--cache), the respawning worker pool,
 // admission control, and the daemon end to end over a real Unix-domain
 // socket — submit, cache-hit resubmit with bit-identical results,
 // malformed requests, request deadlines and the graceful drain.
@@ -13,12 +14,16 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
+#include "fault/fault.h"
+#include "resilience/codec.h"
 #include "resilience/iofault.h"
 #include "resilience/mini_json.h"
 #include "resilience/supervisor.h"
@@ -613,6 +618,225 @@ TEST(SharedCacheDir, ConcurrentStoresNeverTearEntries) {
   const ScrubStats stats = a.Scrub();
   EXPECT_EQ(stats.checked, static_cast<std::uint64_t>(kKeys));
   EXPECT_EQ(stats.quarantined, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// A cache entry cut off at any byte (the disk image a crash mid-write
+// could leave, had the write not gone through tmp + rename) is never
+// served: it is quarantined as corrupt, not resurrected as a partial cell.
+
+TEST(ResultCacheTest, EntryCutAtAnyByteIsNeverServed) {
+  const std::string dir = TempPath("cut");
+  ResultCache cache;
+  ASSERT_TRUE(cache.Open(dir));
+  const CacheKey key = FakeKey("VecAdd@arm-original");
+  ASSERT_TRUE(cache.Store(key, FakeOutcome("VecAdd@arm-original")));
+  const std::string path = dir + "/" + key.FileName();
+  const std::string intact = Slurp(path);
+  ASSERT_GT(intact.size(), 0u);
+  std::uint64_t cut_entries = 0;
+  for (std::size_t len = 1; len < intact.size(); ++len) {
+    Spew(path, intact.substr(0, len));
+    JobOutcome in;
+    EXPECT_FALSE(cache.Load(key, in)) << "len " << len;
+    ++cut_entries;
+  }
+  EXPECT_EQ(cache.stats().quarantined, cut_entries);
+  EXPECT_EQ(cache.stats().hits, 0u);
+  Spew(path, intact);
+  JobOutcome in;
+  ASSERT_TRUE(cache.Load(key, in));
+  EXPECT_EQ(in.result().output_digest, 0xDEADBEEFCAFEF00Dull);
+}
+
+// ---------------------------------------------------------------------------
+// Resume through the result cache on the CLI path: bench drivers bind
+// --cache DIR to the runner's restore_fn/on_outcome seams
+// (bench/bench_util.h).
+
+std::shared_ptr<bench::CacheBinding> BindCache(const std::string& dir,
+                                               sim::RunnerOptions& ro) {
+  std::string err;
+  auto binding = bench::BindCache(dir, ro, &err);
+  EXPECT_NE(binding, nullptr) << err;
+  return binding;
+}
+
+TEST(CliCache, RestoresStoredCellsWithoutReexecution) {
+  const std::string dir = TempPath("cli_resume");
+  const Workload wl = workloads::MakeVecAdd(512);
+
+  // Pass 1: execute and store the full matrix.
+  std::vector<std::string> keys;
+  std::map<std::string, std::string> serialized;
+  {
+    sim::RunnerOptions o;
+    o.jobs = 2;
+    o.repeats = 2;
+    const auto binding = BindCache(dir, o);
+    sim::BatchRunner runner(o);
+    const auto ks = runner.SubmitMatrix(wl);
+    keys.assign(ks.begin(), ks.end());
+    const sim::BatchReport report = runner.Finish();
+    ASSERT_TRUE(report.ok());
+    EXPECT_EQ(report.restored_cells, 0u);
+    EXPECT_EQ(binding->cache.stats().stores, 4u);
+    for (const std::string& k : keys) {
+      serialized[k] = resilience::SerializeOutcome(runner.outcomes().at(k));
+    }
+  }
+
+  // Pass 2: a fresh process would see only the directory; nothing may
+  // execute.
+  std::atomic<int> executions{0};
+  sim::RunnerOptions o2;
+  o2.jobs = 2;
+  o2.repeats = 2;
+  o2.run_fn = [&executions](const Workload& w, RunMode m,
+                            const SystemConfig& c) {
+    ++executions;
+    return sim::Run(w, m, c);
+  };
+  const auto binding = BindCache(dir, o2);
+  sim::BatchRunner runner2(o2);
+  (void)runner2.SubmitMatrix(wl);
+  const sim::BatchReport report2 = runner2.Finish();
+  EXPECT_TRUE(report2.ok());
+  EXPECT_EQ(executions.load(), 0);
+  EXPECT_EQ(report2.restored_cells, 4u);
+  EXPECT_EQ(binding->cache.stats().stores, 0u);  // restored, not re-stored
+  // Restored cells keep their recorded run count, so the report
+  // reconciles exactly like the uninterrupted batch.
+  EXPECT_EQ(report2.executed_runs, 4u * 2u);
+  for (const std::string& k : keys) {
+    const JobOutcome& out = runner2.outcomes().at(k);
+    EXPECT_TRUE(out.restored) << k;
+    EXPECT_EQ(out.cell_status, "ok") << k;
+    EXPECT_EQ(resilience::SerializeOutcome(out), serialized[k]) << k;
+  }
+
+  // A run asking for more determinism samples than were stored executes
+  // the cells again instead of padding the samples.
+  executions = 0;
+  sim::RunnerOptions o3 = o2;
+  o3.repeats = 3;
+  const auto binding3 = BindCache(dir, o3);
+  sim::BatchRunner runner3(o3);
+  (void)runner3.SubmitMatrix(wl);
+  EXPECT_EQ(runner3.Finish().restored_cells, 0u);
+  EXPECT_EQ(executions.load(), 4 * 3);
+}
+
+TEST(CliCache, ConfigChangeRestoresNothingStale) {
+  // A clean run stores Susan E@neon-dsa at 132229 cycles. A run over the
+  // same cache with a fault plan computes 202732: its config digest, and
+  // so its key, differ, and the clean cell must not answer for it.
+  const std::string dir = TempPath("cli_stale");
+  const Workload wl = workloads::MakeSusanE();
+  SystemConfig faulted;
+  faulted.faults = fault::ParseFaultPlan("lane@0+;seed=7");
+  const auto run = [&](const SystemConfig& cfg, std::uint64_t& restored) {
+    sim::RunnerOptions o;
+    o.jobs = 1;
+    o.repeats = 1;
+    const auto binding = BindCache(dir, o);
+    sim::BatchRunner runner(o);
+    const std::string key = runner.Submit(wl, RunMode::kDsa, cfg);
+    const std::uint64_t cycles = runner.Result(key).cycles;
+    const sim::BatchReport report = runner.Finish();
+    EXPECT_TRUE(report.ok());
+    restored = report.restored_cells;
+    return cycles;
+  };
+  std::uint64_t restored = 0;
+  EXPECT_EQ(run(SystemConfig{}, restored), 132229u);
+  EXPECT_EQ(restored, 0u);
+  EXPECT_EQ(run(faulted, restored), 202732u);
+  EXPECT_EQ(restored, 0u);
+  // Each config still restores its own cell.
+  EXPECT_EQ(run(SystemConfig{}, restored), 132229u);
+  EXPECT_EQ(restored, 1u);
+  EXPECT_EQ(run(faulted, restored), 202732u);
+  EXPECT_EQ(restored, 1u);
+}
+
+TEST(CliCache, StoreFailuresSurfaceInTheBenchJsonCensus) {
+  IoFaultPlanGuard guard;
+  const std::string dir = TempPath("cli_iofault");
+  const std::string json = TempPath("cli_iofault.json");
+  const auto census = [&](const char* plan) {
+    if (plan != nullptr) {
+      resilience::InstallIoFaultPlan(resilience::ParseIoFaultPlan(plan));
+    }
+    sim::RunnerOptions o;
+    o.jobs = 1;
+    o.repeats = 1;
+    const auto binding = BindCache(dir, o);
+    sim::BatchRunner runner(o);
+    (void)runner.Submit(workloads::MakeVecAdd(256), RunMode::kScalar, {});
+    const sim::BatchReport report = runner.Finish();
+    resilience::ClearIoFaultPlan();
+    sim::BenchJsonExtras extras;
+    bench::FillCacheCensus(*binding, report, extras);
+    EXPECT_TRUE(sim::WriteBenchJson(json, "iofault", runner, report, &extras));
+    resilience::JsonValue doc;
+    EXPECT_TRUE(resilience::ParseJson(Slurp(json), doc));
+    const resilience::JsonValue* schema = doc.Find("schema");
+    EXPECT_TRUE(schema != nullptr &&
+                schema->AsString() == std::string(sim::kBenchSchema));
+    const resilience::JsonValue* block = doc.Find("cache");
+    return block != nullptr ? *block : resilience::JsonValue{};
+  };
+  const auto u64 = [](const resilience::JsonValue& block, const char* name) {
+    const resilience::JsonValue* v = block.Find(name);
+    return v != nullptr ? v->AsU64() : ~0ull;
+  };
+  const auto warning = [](const resilience::JsonValue& block) {
+    const resilience::JsonValue* v = block.Find("warning");
+    return v != nullptr ? v->AsString() : std::string();
+  };
+
+  // A refused fsync never publishes the entry: a store failure and a
+  // fsync failure, with the typed warning.
+  resilience::JsonValue block = census("fsync-fail@0+");
+  ASSERT_NE(block.Find("path"), nullptr);
+  EXPECT_EQ(block.Find("path")->AsString(), dir);
+  EXPECT_EQ(u64(block, "stores"), 0u);
+  EXPECT_EQ(u64(block, "store_failures"), 1u);
+  EXPECT_GE(u64(block, "fsync_failures"), 1u);
+  EXPECT_NE(warning(block).find("[io-fault]"), std::string::npos);
+
+  // A failed write: a store failure, still typed.
+  block = census("eio@0+");
+  EXPECT_EQ(u64(block, "store_failures"), 1u);
+  EXPECT_NE(warning(block).find("[io-fault]"), std::string::npos);
+
+  // Recovered: the cell executes again (nothing was published), stores
+  // cleanly, and the census carries no warning.
+  block = census(nullptr);
+  EXPECT_EQ(u64(block, "hits"), 0u);
+  EXPECT_EQ(u64(block, "stores"), 1u);
+  EXPECT_EQ(u64(block, "store_failures"), 0u);
+  EXPECT_EQ(warning(block), "");
+  block = census(nullptr);
+  EXPECT_EQ(u64(block, "hits"), 1u);
+  EXPECT_EQ(u64(block, "stores"), 0u);
+  std::remove(json.c_str());
+}
+
+TEST(CliCacheDeathTest, TraceWithCacheIsRefused) {
+  // A stored outcome carries no trace, so --trace cannot compose with a
+  // run that may restore cells — the same refusal as under --isolate.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string dir = TempPath("cli_trace");
+  std::vector<std::string> args = {"bench", "--cache", dir, "--trace",
+                                   TempPath("cli_trace.json")};
+  std::vector<char*> argv;
+  for (std::string& a : args) argv.push_back(a.data());
+  EXPECT_EXIT((void)bench::ParseBenchArgs(static_cast<int>(argv.size()),
+                                          argv.data()),
+              ::testing::ExitedWithCode(2),
+              "--trace is not supported with --cache");
 }
 
 // ---------------------------------------------------------------------------
