@@ -257,9 +257,11 @@ bool LoadJson(const std::string& path, JsonValue& out) {
 }
 
 // Strips the host-volatile fields from a bench report, leaving only what
-// must reproduce bit-identically across a kill/resume: per-result keys
-// wall_ms/host (timing) and restored (bookkeeping), plus the top-level
-// run bookkeeping (jobs, wall_ms, memo/restored counters, cache census).
+// must reproduce bit-identically across a kill/resume: per-result
+// wall_ms, host.wall_ms/mips/phases (timing) and restored (bookkeeping),
+// plus the top-level run bookkeeping (jobs, wall_ms, memo/restored
+// counters, cache census). host.steps and host.dispatch stay, so a
+// restored cell must name the core that ran it.
 JsonValue Canonicalize(const JsonValue& report) {
   static const char* kTopLevel[] = {"schema",        "bench",
                                     "repeats",       "distinct_jobs",
@@ -277,8 +279,13 @@ JsonValue Canonicalize(const JsonValue& report) {
         JsonValue c;
         c.type = JsonValue::Type::kObject;
         for (const auto& [k, cv] : cell.object) {
-          if (k == "wall_ms" || k == "host" || k == "restored") continue;
+          if (k == "wall_ms" || k == "restored") continue;
           c.object.emplace_back(k, cv);
+          if (k != "host") continue;
+          std::erase_if(c.object.back().second.object, [](const auto& h) {
+            return h.first == "wall_ms" || h.first == "mips" ||
+                   h.first == "phases";
+          });
         }
         results.array.push_back(std::move(c));
       }

@@ -24,10 +24,10 @@
 #include <string>
 #include <thread>
 
-#include "resilience/codec.h"
 #include "serve/client.h"
 #include "serve/flags.h"
 #include "serve/proto.h"
+#include "sim/codec.h"
 
 namespace {
 
@@ -137,7 +137,7 @@ std::string ValidFrame(const std::string& payload) {
   std::string frame;
   frame.append(dsa::serve::kProtoMagic, 4);
   PutU32(frame, static_cast<std::uint32_t>(payload.size()));
-  PutU32(frame, dsa::resilience::Crc32(payload.data(), payload.size()));
+  PutU32(frame, dsa::sim::Crc32(payload.data(), payload.size()));
   frame += payload;
   return frame;
 }

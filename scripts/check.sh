@@ -40,7 +40,7 @@ echo "== chaos smoke (fault injection + guard recovery) =="
 # exits non-zero unless every injected run recovers bit-identically to
 # the fault-free digest (speculation guard rollback + blacklisting),
 # with the sanitizers watching the rollback machinery. The validator
-# re-checks the dsa-bench-json/7 contract including the faults block.
+# re-checks the dsa-bench-json/8 contract including the faults block.
 "$BUILD"/bench/bench_chaos --filter VecAdd --jobs 2 \
     --json "$BUILD"/BENCH_chaos_check.json
 python3 scripts/validate_bench.py "$BUILD"/BENCH_chaos_check.json
@@ -116,13 +116,52 @@ echo "== release build + throughput smoke =="
 # Optimized build via the release preset (-O3, warnings-as-errors), then
 # the host-throughput driver on the VecAdd smoke slice. The driver's exit
 # code is gated by the differential oracle; the validator re-checks the
-# dsa-bench-json/7 contract and that every job reports MIPS > 0.
+# dsa-bench-json/8 contract and that every job reports MIPS > 0.
 cmake --preset release > /dev/null
-cmake --build build -j "$JOBS" --target bench_throughput
+cmake --build build -j "$JOBS" --target bench_throughput bench_a3_fig8_perf
 build/bench/bench_throughput --filter VecAdd --repeats 2 \
     --json build/BENCH_throughput_check.json
 grep -q '"ok": true' build/BENCH_throughput_check.json
 python3 scripts/validate_bench.py build/BENCH_throughput_check.json
+
+echo "== one cell codec: in-process, isolated and restored cells agree =="
+# The bench-JSON cell is also the encoding the result cache stores and
+# the isolation pipe ships, so the same RGB-Gray cells must name the same
+# interpreter core (host.dispatch) whether they ran in-process, in a
+# forked child (--isolate) or were restored by a second run over one
+# --cache directory (which must restore all 4 cells). Release build: under
+# ASan a fork from the multi-threaded runner can deadlock the child in a
+# lock another thread held at the fork (see the chaos isolation step and
+# ROADMAP), which would hang this step for a reason unrelated to the codec.
+rm -rf build/CODEC_check.cache
+build/bench/bench_a3_fig8_perf --filter RGB --jobs 1 \
+    --json build/BENCH_codec_inproc.json
+build/bench/bench_a3_fig8_perf --filter RGB --jobs 1 --isolate \
+    --json build/BENCH_codec_isolate.json
+for pass in 1 2; do
+  build/bench/bench_a3_fig8_perf --filter RGB --jobs 1 \
+      --cache build/CODEC_check.cache \
+      --json build/BENCH_codec_cache$pass.json
+done
+for leg in inproc isolate cache1 cache2; do
+  python3 scripts/validate_bench.py build/BENCH_codec_$leg.json
+done
+python3 - build/BENCH_codec_inproc.json build/BENCH_codec_isolate.json \
+    build/BENCH_codec_cache2.json <<'PY'
+import json
+import sys
+
+docs = [json.load(open(path)) for path in sys.argv[1:]]
+if docs[2]["restored_cells"] != 4:
+    sys.exit(f"second --cache run restored {docs[2]['restored_cells']} "
+             f"cells, expected 4")
+legs = [{r["job"]: r["host"]["dispatch"] for r in d["results"]} for d in docs]
+if len(legs[0]) != 4 or not legs[0] == legs[1] == legs[2]:
+    sys.exit(f"host.dispatch differs: in-process {legs[0]}, isolated "
+             f"{legs[1]}, restored {legs[2]}")
+print(f"one codec: host.dispatch agrees on {len(legs[0])} cells")
+PY
+rm -rf build/CODEC_check.cache
 
 echo "== perf smoke (fast vs reference, load-immune) =="
 # The interleaved A/B harness runs fast and --reference back-to-back per

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Structural validator for dsa-bench-json/7 batch reports.
+"""Structural validator for dsa-bench-json/8 batch reports.
 
 Checks that a file produced by `--json PATH` (sim::WriteBenchJson,
 src/sim/runner.cc) honours the contract in docs/BENCH_SCHEMA.md:
-  * is well-formed JSON carrying the "dsa-bench-json/7" schema marker,
+  * is well-formed JSON carrying the "dsa-bench-json/8" schema marker,
   * has every required top-level field with a sane value,
   * reconciles the run census: sum of per-result `runs` == executed_runs,
     every "ok" cell ran exactly `repeats` times, `faulted_cells` matches
@@ -21,10 +21,16 @@ src/sim/runner.cc) honours the contract in docs/BENCH_SCHEMA.md:
   * carries an oracle verdict (and, by default, a passing one),
   * has one result object per distinct job with the required fields --
     faulted cells appear with a minimal payload (status, attempts, error)
-    instead of being silently dropped,
+    instead of being silently dropped; every result carries its
+    "0x..." config_digest (new in /8, the cell is also the result-cache
+    encoding),
+  * has the counters the cell carries since /8: cpu mem_reads/mem_writes/
+    issue_slots, and in the dsa block the observed_instructions/
+    array_map_accesses/vc_accesses/dsa_cache_accesses counters plus the
+    entries_by_class and rejects_by_reason census objects,
   * has a host throughput block per completed result with mips > 0
-    whenever the run executed at least one interpreter step, and an
-    optional host.dispatch naming the interpreter core that ran
+    whenever the run executed at least one interpreter step, and a
+    host.dispatch (required in /8) naming the interpreter core that ran
     ("switch" or "threaded", docs/DISPATCH.md), plus a host.phases
     block (new in /6) whose non-negative dispatch/observe/mem/neon
     millisecond buckets sum to at most host.wall_ms,
@@ -34,7 +40,7 @@ src/sim/runner.cc) honours the contract in docs/BENCH_SCHEMA.md:
     bytes/cycles at the modeled 1 GHz, cross-checked against `cycles`)
     and the optional `gen` block (seed/class/count with a known
     generator class, consistent across every result of one workload), and
-  * uses "0x..." hex form for output digests.
+  * uses "0x..." hex form for output and config digests.
 
 Exit code 0 = valid, 1 = validation failure, 2 = usage/IO error.
 
@@ -49,19 +55,28 @@ REQUIRED_TOP = [
     "cancelled_cells", "run_status", "oracle", "results",
 ]
 # Every result carries its cell status; completed cells carry the stats.
-REQUIRED_RESULT_ANY = ["job", "workload", "mode", "config", "cell_status",
-                       "attempts", "runs"]
+REQUIRED_RESULT_ANY = ["job", "workload", "mode", "config", "config_digest",
+                       "cell_status", "attempts", "runs"]
 REQUIRED_RESULT_OK = [
     "cycles", "output_ok", "output_digest", "wall_ms", "host", "cpu",
     "l1", "l2", "dram_accesses", "energy",
 ]
-REQUIRED_HOST = ["mips", "wall_ms", "steps"]
+REQUIRED_HOST = ["mips", "wall_ms", "steps", "dispatch"]
 # host.phases (new in /6): disjoint host-time buckets attributing the wall
 # time of the run loop -- each non-negative, summing to at most wall_ms.
 REQUIRED_PHASES = ["dispatch_ms", "observe_ms", "mem_ms", "neon_ms"]
-# host.dispatch is optional (added in a later /5 revision): the
-# interpreter core the batched run loops actually executed on.
+# host.dispatch (optional in /5-/7, required in /8): the interpreter core
+# the batched run loops actually executed on.
 DISPATCH_MODES = {"switch", "threaded"}
+# Counters the cell carries since /8, when it became the one encoding of
+# stored and shipped cells too.
+REQUIRED_CPU = ["retired_total", "retired_scalar", "retired_vector",
+                "mem_reads", "mem_writes", "branches", "mispredicts",
+                "issue_slots", "mem_stall_cycles", "other_stall_cycles",
+                "neon_busy_cycles", "dsa_overhead_cycles"]
+REQUIRED_DSA = ["observed_instructions", "array_map_accesses",
+                "vc_accesses", "dsa_cache_accesses", "stage_activations",
+                "loops_by_class", "entries_by_class", "rejects_by_reason"]
 REQUIRED_STREAM = ["bytes", "gbps"]
 REQUIRED_GEN = ["seed", "class", "count"]
 GEN_CLASSES = {"counted", "sentinel", "conditional", "nested",
@@ -99,8 +114,8 @@ def main() -> None:
     for k in REQUIRED_TOP:
         if k not in doc:
             fail(f"missing top-level field '{k}'")
-    if doc["schema"] != "dsa-bench-json/7":
-        fail(f"schema is {doc['schema']!r}, expected 'dsa-bench-json/7'")
+    if doc["schema"] != "dsa-bench-json/8":
+        fail(f"schema is {doc['schema']!r}, expected 'dsa-bench-json/8'")
     if len(doc["results"]) != doc["distinct_jobs"]:
         fail(f"{len(doc['results'])} results for "
              f"{doc['distinct_jobs']} distinct jobs")
@@ -177,6 +192,10 @@ def main() -> None:
                 fail(f"result {job}: missing '{k}'")
         if r["mode"] not in MODES:
             fail(f"result {job}: unknown mode {r['mode']!r}")
+        if not (isinstance(r["config_digest"], str)
+                and r["config_digest"].startswith("0x")):
+            fail(f"result {job}: config_digest {r['config_digest']!r} not "
+                 f"'0x...' hex")
         if r["cell_status"] not in CELL_STATUSES:
             fail(f"result {job}: unknown cell_status {r['cell_status']!r}")
         runs_sum += r["runs"]
@@ -206,7 +225,7 @@ def main() -> None:
         if host["steps"] > 0 and not host["mips"] > 0:
             fail(f"result {job}: {host['steps']} steps but "
                  f"mips={host['mips']}")
-        if "dispatch" in host and host["dispatch"] not in DISPATCH_MODES:
+        if host["dispatch"] not in DISPATCH_MODES:
             fail(f"result {job}: host.dispatch {host['dispatch']!r} not in "
                  f"{sorted(DISPATCH_MODES)}")
         if "phases" not in host:
@@ -226,6 +245,13 @@ def main() -> None:
             fail(f"result {job}: negative wall time")
         if r["runs"] != doc["repeats"]:
             fail(f"result {job}: runs={r['runs']} != repeats")
+        for k in REQUIRED_CPU:
+            if k not in r["cpu"]:
+                fail(f"result {job}: cpu block missing '{k}'")
+        if "dsa" in r:
+            for k in REQUIRED_DSA:
+                if k not in r["dsa"]:
+                    fail(f"result {job}: dsa block missing '{k}'")
         if "stream" in r:
             st = r["stream"]
             for k in REQUIRED_STREAM:

@@ -5,14 +5,17 @@
 #include <cstring>
 #include <new>
 
-#include "resilience/codec.h"
 #include "resilience/mini_json.h"
+#include "sim/codec.h"
 #include "sim/error.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #define DSA_HAVE_FORK 1
 #include <poll.h>
 #include <signal.h>
+#if defined(__linux__)
+#include <sys/prctl.h>
+#endif
 #include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -67,7 +70,7 @@ void SendFrame(int fd, char type, const std::string& json) {
   frame.reserve(payload.size() + 12);
   frame.append(kMagic, 4);
   PutU32(frame, static_cast<std::uint32_t>(payload.size()));
-  PutU32(frame, Crc32(payload.data(), payload.size()));
+  PutU32(frame, sim::Crc32(payload.data(), payload.size()));
   frame += payload;
   WriteAll(fd, frame);
 }
@@ -83,9 +86,19 @@ std::string ErrorJson(sim::DsaErrorCode code, const std::string& what) {
 
 // Child side: run the cell, ship one frame, _exit without running any
 // atexit machinery inherited from the parent.
-[[noreturn]] void ChildMain(int write_fd,
+[[noreturn]] void ChildMain(int write_fd, pid_t parent,
                             const std::function<sim::RunResult()>& fn,
                             const IsolateOptions& opts) {
+#if defined(__linux__)
+  // The child must not outlive its parent (a driver ended by a second
+  // SIGTERM, or killed outright): the kernel SIGKILLs it when the
+  // parent's forking thread exits. A parent already gone before the
+  // request took effect leaves the child reparented; exit then.
+  (void)::prctl(PR_SET_PDEATHSIG, SIGKILL);
+  if (::getppid() != parent) ::_exit(1);
+#else
+  (void)parent;
+#endif
   if (opts.mem_limit_mb > 0) {
     struct rlimit lim;
     lim.rlim_cur = lim.rlim_max =
@@ -94,7 +107,7 @@ std::string ErrorJson(sim::DsaErrorCode code, const std::string& what) {
   }
   try {
     const sim::RunResult r = fn();
-    SendFrame(write_fd, 'R', SerializeRunResult(r));
+    SendFrame(write_fd, 'R', sim::SerializeRunResult(r));
   } catch (const std::bad_alloc&) {
     SendFrame(write_fd, 'E',
               ErrorJson(sim::DsaErrorCode::kOutOfMemory,
@@ -186,7 +199,7 @@ bool DecodeFrame(const std::string& buffer, char& type, std::string& json) {
   if (buffer.size() < 12 + static_cast<std::size_t>(len) || len == 0) {
     return false;
   }
-  if (Crc32(buffer.data() + 12, len) != crc) return false;
+  if (sim::Crc32(buffer.data() + 12, len) != crc) return false;
   type = buffer[12];
   json.assign(buffer, 13, len - 1);
   return true;
@@ -208,6 +221,7 @@ sim::RunResult RunIsolated(const std::function<sim::RunResult()>& fn,
                         "pipe() failed for " + label + ": " +
                             std::strerror(errno));
   }
+  const pid_t parent = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(fds[0]);
@@ -218,7 +232,7 @@ sim::RunResult RunIsolated(const std::function<sim::RunResult()>& fn,
   }
   if (pid == 0) {
     ::close(fds[0]);
-    ChildMain(fds[1], fn, opts);  // never returns
+    ChildMain(fds[1], parent, fn, opts);  // never returns
   }
   ::close(fds[1]);
   std::string buffer;
@@ -236,7 +250,7 @@ sim::RunResult RunIsolated(const std::function<sim::RunResult()>& fn,
   if (DecodeFrame(buffer, type, json)) {
     if (type == 'R') {
       sim::RunResult r;
-      if (ParseRunResult(json, r)) return r;
+      if (sim::ParseRunResult(json, r)) return r;
       throw sim::DsaError(sim::DsaErrorCode::kCrash,
                           label + ": child result failed to parse");
     }

@@ -1,5 +1,6 @@
 // Process isolation for batch cells: executes one simulation in a forked
-// child and ships the RunResult back over a CRC-checked, length-prefixed
+// child and ships the RunResult back, encoded as a bench-JSON cell by the
+// one cell codec (sim/codec.h), over a CRC-checked, length-prefixed
 // pipe, so a hard crash (SIGSEGV/SIGABRT), a runaway loop or an
 // out-of-memory condition in one cell is classified into the DsaError
 // taxonomy instead of killing the whole batch. Opt-in via --isolate

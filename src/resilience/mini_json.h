@@ -1,6 +1,8 @@
-// Minimal recursive-descent JSON reader for the resilience layer: parses
-// the cache entries and bench reports that this repository itself
-// writes (serve::ResultCache, sim::WriteBenchJson). It is a strict
+// Minimal recursive-descent JSON reader: parses the cells, cache entries
+// and bench reports that this repository itself writes (the cell codec
+// of sim/codec.h, serve::ResultCache, sim::WriteBenchJson). It builds as
+// its own library, dsa_json, below dsa_sim, so the codec's reader side
+// needs nothing else from the resilience layer. It is a strict
 // subset of JSON — objects, arrays, strings (with \uXXXX escapes),
 // numbers, booleans, null — with one deliberate twist: numbers keep their
 // raw source text, so 64-bit counters and %.17g doubles round-trip

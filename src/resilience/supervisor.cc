@@ -16,6 +16,14 @@ std::atomic<bool> g_drain{false};
 extern "C" void DrainSignalHandler(int /*sig*/) {
   // Async-signal-safe: one atomic store.
   g_drain.store(true, std::memory_order_relaxed);
+  // Bounded drain: the first signal asks for a drain, and the default
+  // action comes back for both signals, so a second SIGINT or SIGTERM
+  // ends the process even if an in-flight cell never finishes.
+  struct sigaction dfl = {};
+  dfl.sa_handler = SIG_DFL;
+  sigemptyset(&dfl.sa_mask);
+  (void)::sigaction(SIGINT, &dfl, nullptr);
+  (void)::sigaction(SIGTERM, &dfl, nullptr);
 }
 #endif
 

@@ -6,7 +6,8 @@
 //                                                       (breaker.h)
 //   - graceful drain     -> SIGINT/SIGTERM set a process-wide flag the
 //     runner polls; in-flight cells finish, queued cells become
-//     "cancelled" and the JSON reports run_status "interrupted".
+//     "cancelled" and the JSON reports run_status "interrupted". A
+//     second signal ends the process.
 // Resume after a crash is not a supervisor concern: completed cells are
 // durable in the content-addressed result cache (serve/cache.h), which
 // the bench drivers bind to the runner's restore_fn/on_outcome seams
@@ -25,7 +26,8 @@ namespace dsa::resilience {
 
 // Installs the SIGINT/SIGTERM graceful-drain handler (idempotent): the
 // handler sets Supervisor::DrainFlag(), an async-signal-safe atomic
-// store. Supervisor::Attach calls this; it is exposed for long-lived
+// store, and restores the default action of both signals, so a second
+// SIGINT/SIGTERM ends the process (the drain is bounded). Supervisor::Attach calls this; it is exposed for long-lived
 // drivers that drain without a Supervisor (the serving daemon,
 // src/serve/daemon.cc).
 void InstallDrainHandler();

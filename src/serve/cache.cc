@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "mem/memory.h"
-#include "resilience/codec.h"
 #include "resilience/iofault.h"
 #include "resilience/mini_json.h"
+#include "sim/codec.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <dirent.h>
@@ -48,13 +48,6 @@ void HashProgram(Fnv1a& f, const prog::Program& p) {
 std::string Hex64(std::uint64_t v) {
   char buf[20];
   std::snprintf(buf, sizeof(buf), "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
-std::string Hex0x(std::uint64_t v) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "0x%llx",
                 static_cast<unsigned long long>(v));
   return buf;
 }
@@ -97,7 +90,7 @@ bool ParseEntry(const std::string& data, Entry& e) {
     return false;
   }
   const std::string payload = data.substr(9, data.size() - 10);
-  if (resilience::Crc32(payload.data(), payload.size()) != crc) return false;
+  if (sim::Crc32(payload.data(), payload.size()) != crc) return false;
   resilience::JsonValue j;
   if (!resilience::ParseJson(payload, j) || !j.is_object()) return false;
   const auto field = [&j](std::string_view name) -> std::string {
@@ -117,7 +110,7 @@ bool ParseEntry(const std::string& data, Entry& e) {
          !e.key.engine_version.empty() && !e.key.bench_schema.empty() &&
          hex_field("workload_digest", e.key.workload_digest) &&
          hex_field("config_digest", e.key.config_digest) && cell != nullptr &&
-         resilience::ParseOutcome(*cell, e.cell) &&
+         sim::ParseOutcome(*cell, e.cell) &&
          e.cell.key == e.key.job_key;
 }
 
@@ -248,24 +241,20 @@ bool ResultCache::Load(const CacheKey& key, sim::JobOutcome& out) {
 bool ResultCache::Store(const CacheKey& key, const sim::JobOutcome& out) {
 #if DSA_HAVE_CACHE_FS
   if (!open()) return false;
-  std::string payload = "{\"schema\":\"";
-  payload += kCacheEntrySchema;
-  payload += "\",\"key\":\"";
-  payload += resilience::JsonEscape(key.job_key);
-  payload += "\",\"workload_digest\":\"";
-  payload += Hex0x(key.workload_digest);
-  payload += "\",\"config_digest\":\"";
-  payload += Hex0x(key.config_digest);
-  payload += "\",\"engine\":\"";
-  payload += resilience::JsonEscape(key.engine_version);
-  payload += "\",\"bench_schema\":\"";
-  payload += resilience::JsonEscape(key.bench_schema);
-  payload += "\",\"cell\":";
-  payload += resilience::SerializeOutcome(out);
-  payload += "}";
+  std::string payload;
+  sim::JsonWriter w(payload);
+  w.Open({}, '{');
+  w.Str("schema", kCacheEntrySchema);
+  w.Str("key", key.job_key);
+  w.Hex("workload_digest", key.workload_digest);
+  w.Hex("config_digest", key.config_digest);
+  w.Str("engine", key.engine_version);
+  w.Str("bench_schema", key.bench_schema);
+  w.Value("cell", sim::SerializeOutcome(out));
+  w.Close('}');
   char crc[12];
   std::snprintf(crc, sizeof(crc), "%08x",
-                resilience::Crc32(payload.data(), payload.size()));
+                sim::Crc32(payload.data(), payload.size()));
   std::string line = crc;
   line += ' ';
   line += payload;

@@ -10,8 +10,9 @@
 // again).
 //
 // Entry format: one CRC-framed line, `CCCCCCCC <json>\n` (CRC-32 and
-// cell encoding from resilience/codec.h), where the JSON carries the
-// full key for verification plus the cell's serialized JobOutcome.
+// cell codec from sim/codec.h), where the JSON carries the full key for
+// verification plus the cell: exactly the bench-JSON `results[]` element
+// of that job (docs/BENCH_SCHEMA.md).
 // Writes go to a temporary sibling, fsync, then an atomic rename — a torn
 // write can never be observed under the final name. A corrupt entry is
 // quarantined (renamed to `<name>.quarantine`) and recomputed instead of
@@ -29,8 +30,8 @@
 namespace dsa::serve {
 
 // Version labels baked into every cache key (both defined in sim/digest.h):
-// kEngineVersion tracks the simulated model, kBenchSchema the
-// serialized-outcome contract WriteBenchJson emits.
+// kEngineVersion tracks the simulated model, kBenchSchema the cell
+// encoding (the bench-JSON cell the entries store).
 using sim::kBenchSchema;
 using sim::kEngineVersion;
 inline constexpr std::string_view kCacheEntrySchema = "dsa-serve-cache/1";

@@ -3,8 +3,8 @@
 #include <cerrno>
 #include <cstring>
 
-#include "resilience/codec.h"
 #include "resilience/iofault.h"
+#include "sim/codec.h"
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <unistd.h>
@@ -92,7 +92,7 @@ bool SendFrame(int fd, char type, const std::string& json) {
   frame.reserve(payload.size() + 12);
   frame.append(kProtoMagic, 4);
   PutU32(frame, static_cast<std::uint32_t>(payload.size()));
-  PutU32(frame, resilience::Crc32(payload.data(), payload.size()));
+  PutU32(frame, sim::Crc32(payload.data(), payload.size()));
   frame += payload;
   return WriteAll(fd, frame.data(), frame.size());
 #else
@@ -119,7 +119,7 @@ RecvStatus RecvFrame(int fd, char& type, std::string& json) {
   const int pr = ReadExact(fd, payload.data(), len, got);
   if (pr < 0) return RecvStatus::kError;
   if (pr == 0) return RecvStatus::kCorrupt;  // peer died mid-frame
-  if (resilience::Crc32(payload.data(), payload.size()) != crc) {
+  if (sim::Crc32(payload.data(), payload.size()) != crc) {
     return RecvStatus::kCorrupt;
   }
   type = payload[0];

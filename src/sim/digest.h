@@ -20,7 +20,7 @@ inline constexpr std::string_view kEngineVersion = "dsa-engine/9";
 
 // The serialized-report contract (docs/BENCH_SCHEMA.md): WriteBenchJson
 // emits it as the "schema" marker, and every cache key carries it.
-inline constexpr std::string_view kBenchSchema = "dsa-bench-json/7";
+inline constexpr std::string_view kBenchSchema = "dsa-bench-json/8";
 
 // FNV-1a, 64-bit: the repo's digest primitive (the output-digest oracle
 // uses the same construction), here accumulated field-by-field so the

@@ -1,11 +1,11 @@
 #include "sim/runner.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <utility>
 
+#include "sim/codec.h"
 #include "sim/digest.h"
 #include "sim/error.h"
 
@@ -303,85 +303,11 @@ BatchReport BatchRunner::Finish() {
 }
 
 // ---------------------------------------------------------------------------
-// JSON emission.
-
-namespace {
-
-class JsonWriter {
- public:
-  explicit JsonWriter(std::FILE* f) : f_(f) {}
-
-  void Raw(const char* s) { std::fputs(s, f_); }
-  void Key(const char* name) {
-    Comma();
-    std::fprintf(f_, "\"%s\": ", name);
-    fresh_ = true;
-  }
-  void Str(const char* name, const std::string& value) {
-    Key(name);
-    std::fputc('"', f_);
-    for (const char c : value) {
-      if (c == '"' || c == '\\') std::fputc('\\', f_);
-      if (static_cast<unsigned char>(c) < 0x20) {
-        std::fprintf(f_, "\\u%04x", c);
-      } else {
-        std::fputc(c, f_);
-      }
-    }
-    std::fputc('"', f_);
-    fresh_ = false;
-  }
-  void U64(const char* name, std::uint64_t v) {
-    Key(name);
-    std::fprintf(f_, "%" PRIu64, v);
-    fresh_ = false;
-  }
-  void Dbl(const char* name, double v) {
-    Key(name);
-    std::fprintf(f_, "%.6g", v);
-    fresh_ = false;
-  }
-  void Bool(const char* name, bool v) {
-    Key(name);
-    std::fputs(v ? "true" : "false", f_);
-    fresh_ = false;
-  }
-  void Open(const char* name, char bracket) {
-    if (name != nullptr) {
-      Key(name);
-    } else {
-      Comma();
-    }
-    std::fputc(bracket, f_);
-    fresh_ = true;
-  }
-  void Close(char bracket) {
-    std::fputc(bracket, f_);
-    fresh_ = false;
-  }
-
- private:
-  void Comma() {
-    if (!fresh_) std::fputs(", ", f_);
-    fresh_ = false;
-  }
-
-  std::FILE* f_;
-  bool fresh_ = true;
-};
-
-}  // namespace
+// JSON emission: the report envelope around one codec cell per job.
 
 bool WriteBenchJson(const std::string& path, const std::string& bench_name,
                     const BatchRunner& runner, const BatchReport& report,
                     const BenchJsonExtras* extras) {
-  // Write-then-rename so a reader (or a kill signal) can never observe a
-  // half-written report at `path`.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "w");
-  if (f == nullptr) return false;
-  JsonWriter w(f);
-
   // Scalar baseline cycles per workload group, for the speedup column.
   std::map<std::string, std::uint64_t> baseline;
   for (const auto& [key, out] : runner.outcomes()) {
@@ -390,8 +316,10 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
     }
   }
 
-  w.Open(nullptr, '{');
-  w.Str("schema", std::string(kBenchSchema));
+  std::string doc;
+  JsonWriter w(doc);
+  w.Open({}, '{');
+  w.Str("schema", kBenchSchema);
   w.Str("bench", bench_name);
   w.U64("jobs", static_cast<std::uint64_t>(runner.options().jobs));
   w.U64("repeats", static_cast<std::uint64_t>(runner.options().repeats));
@@ -429,7 +357,7 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
     w.Bool("enabled", true);
     w.Open("workloads", '[');
     for (const BreakerCensusEntry& b : extras->breaker) {
-      w.Open(nullptr, '{');
+      w.Open({}, '{');
       w.Str("workload", b.workload);
       w.Str("state", b.state);
       w.U64("failures", b.failures);
@@ -446,7 +374,7 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
   w.Bool("ok", report.ok());
   w.Open("violations", '[');
   for (const oracle::Violation& v : report.violations) {
-    w.Open(nullptr, '{');
+    w.Open({}, '{');
     w.Str("job", v.job);
     w.Str("check", v.check);
     w.Str("detail", v.detail);
@@ -455,180 +383,26 @@ bool WriteBenchJson(const std::string& path, const std::string& bench_name,
   w.Close(']');
   w.Close('}');
 
-  w.Open("results", '[');
+  // One cell per line, exactly as the result cache stores it.
+  std::string results = "[";
   for (const auto& [key, out] : runner.outcomes()) {
-    if (out.runs.empty()) {
-      // A poisoned cell still shows up — minimal payload, no stats.
-      w.Raw("\n  ");
-      w.Open(nullptr, '{');
-      w.Str("job", key);
-      w.Str("workload", out.workload_key);
-      w.Str("mode", ModeSlug(out.mode));
-      w.Str("config", out.config_tag);
-      w.Str("cell_status", out.cell_status);
-      w.U64("attempts", out.attempts);
-      w.U64("runs", 0);
-      if (!out.error.empty()) w.Str("error", out.error);
-      w.Close('}');
-      continue;
-    }
-    const RunResult& r = out.result();
-    w.Raw("\n  ");
-    w.Open(nullptr, '{');
-    w.Str("job", key);
-    w.Str("workload", r.workload);
-    w.Str("mode", ModeSlug(out.mode));
-    w.Str("config", out.config_tag);
-    w.Str("cell_status", out.cell_status);
-    w.U64("attempts", out.attempts);
-    if (out.restored) w.Bool("restored", true);
-    if (!out.error.empty()) w.Str("error", out.error);
-    w.U64("cycles", r.cycles);
     const auto base = baseline.find(out.workload_key);
-    if (base != baseline.end() && r.cycles > 0) {
-      w.Dbl("speedup_vs_scalar",
-            static_cast<double>(base->second) / static_cast<double>(r.cycles));
-    }
-    w.Bool("output_ok", r.output_ok);
-    char digest[32];
-    std::snprintf(digest, sizeof(digest), "0x%016" PRIx64, r.output_digest);
-    w.Str("output_digest", digest);
-    w.Dbl("wall_ms", out.wall_ms);
-    w.U64("runs", static_cast<std::uint64_t>(out.runs.size()));
-
-    // Host simulation throughput of the canonical run (schema /2;
-    // `dispatch` — the interpreter core that actually ran — added in /5;
-    // `phases` — where the host milliseconds went — added in /6).
-    w.Open("host", '{');
-    w.Dbl("mips", r.host_mips());
-    w.Dbl("wall_ms", r.host_wall_ms);
-    w.U64("steps", r.host_steps);
-    w.Str("dispatch", std::string(cpu::ToString(r.host_dispatch)));
-    w.Open("phases", '{');
-    w.Dbl("dispatch_ms", r.host_phases.dispatch_ms);
-    w.Dbl("observe_ms", r.host_phases.observe_ms);
-    w.Dbl("mem_ms", r.host_phases.mem_ms);
-    w.Dbl("neon_ms", r.host_phases.neon_ms);
-    w.Close('}');
-    w.Close('}');
-
-    // Streaming throughput and generator provenance (schema /5), present
-    // only on workloads that declare them.
-    if (r.stream_bytes > 0) {
-      w.Open("stream", '{');
-      w.U64("bytes", r.stream_bytes);
-      w.Dbl("gbps", r.stream_gbps());
-      w.Close('}');
-    }
-    if (r.gen.has_value()) {
-      w.Open("gen", '{');
-      w.U64("seed", r.gen->seed);
-      w.Str("class", r.gen->loop_class);
-      w.U64("count", r.gen->count);
-      w.Close('}');
-    }
-
-    w.Open("cpu", '{');
-    w.U64("retired_total", r.cpu.retired_total);
-    w.U64("retired_scalar", r.cpu.retired_scalar);
-    w.U64("retired_vector", r.cpu.retired_vector);
-    w.U64("branches", r.cpu.branches);
-    w.U64("mispredicts", r.cpu.mispredicts);
-    w.U64("mem_stall_cycles", r.cpu.mem_stall_cycles);
-    w.U64("other_stall_cycles", r.cpu.other_stall_cycles);
-    w.U64("neon_busy_cycles", r.cpu.neon_busy_cycles);
-    w.U64("dsa_overhead_cycles", r.cpu.dsa_overhead_cycles);
-    w.Close('}');
-
-    w.Open("l1", '{');
-    w.U64("hits", r.l1.hits);
-    w.U64("misses", r.l1.misses);
-    w.Close('}');
-    w.Open("l2", '{');
-    w.U64("hits", r.l2.hits);
-    w.U64("misses", r.l2.misses);
-    w.Close('}');
-    w.U64("dram_accesses", r.dram_accesses);
-
-    w.Open("energy", '{');
-    w.Dbl("core_dynamic", r.energy.core_dynamic);
-    w.Dbl("core_static", r.energy.core_static);
-    w.Dbl("neon_dynamic", r.energy.neon_dynamic);
-    w.Dbl("neon_static", r.energy.neon_static);
-    w.Dbl("cache_dram", r.energy.cache_dram);
-    w.Dbl("dsa_dynamic", r.energy.dsa_dynamic);
-    w.Dbl("dsa_static", r.energy.dsa_static);
-    w.Dbl("total", r.energy.total());
-    w.Close('}');
-
-    if (r.trace != nullptr) {
-      w.Open("trace", '{');
-      w.U64("emitted", r.trace->emitted);
-      w.U64("dropped", r.trace->dropped);
-      w.Close('}');
-    }
-
-    if (r.faults.has_value()) {
-      const fault::FaultReport& fr = *r.faults;
-      w.Open("faults", '{');
-      w.Str("plan", fault::FormatFaultPlan(fr.plan));
-      w.U64("seed", fr.plan.seed);
-      w.U64("total_fired", fr.total_fired());
-      w.Open("opportunities", '{');
-      for (int k = 0; k < fault::kNumFaultKinds; ++k) {
-        w.U64(std::string(ToString(static_cast<fault::FaultKind>(k))).c_str(),
-              fr.opportunities[k]);
-      }
-      w.Close('}');
-      w.Open("fired", '{');
-      for (int k = 0; k < fault::kNumFaultKinds; ++k) {
-        w.U64(std::string(ToString(static_cast<fault::FaultKind>(k))).c_str(),
-              fr.fired[k]);
-      }
-      w.Close('}');
-      w.Close('}');
-    }
-
-    if (r.dsa.has_value()) {
-      const engine::DsaStats& d = *r.dsa;
-      w.Dbl("detection_latency_pct", r.detection_latency_pct());
-      w.Open("dsa", '{');
-      w.U64("takeovers", d.takeovers);
-      w.U64("cache_hit_takeovers", d.cache_hit_takeovers);
-      w.U64("vectorized_iterations", d.vectorized_iterations);
-      w.U64("scalar_covered_instrs", d.scalar_covered_instrs);
-      w.U64("vector_instrs_issued", d.vector_instrs_issued);
-      w.U64("analysis_cycles", d.analysis_cycles);
-      w.U64("fusions_formed", d.fusions_formed);
-      w.U64("fusion_demotions", d.fusion_demotions);
-      w.U64("sentinel_respeculations", d.sentinel_respeculations);
-      w.U64("rollbacks", d.rollbacks);
-      w.U64("blacklisted_loops", d.blacklisted_loops);
-      w.U64("cache_corruptions_detected", d.cache_corruptions_detected);
-      w.Open("stage_activations", '{');
-      for (int s = 0; s < engine::kNumStages; ++s) {
-        w.U64(std::string(ToString(static_cast<engine::Stage>(s))).c_str(),
-              d.stage_activations[s]);
-      }
-      w.Close('}');
-      w.Open("loops_by_class", '{');
-      for (const auto& [cls, n] : d.loops_by_class) {
-        w.U64(std::string(engine::ToString(cls)).c_str(), n);
-      }
-      w.Close('}');
-      w.Close('}');
-    }
-    w.Close('}');
+    results += results.size() == 1 ? "\n  " : ",\n  ";
+    results += SerializeOutcome(out, base != baseline.end() ? base->second : 0);
   }
-  w.Raw("\n");
-  w.Close(']');
+  results += "\n]";
+  w.Value("results", results);
   w.Close('}');
-  w.Raw("\n");
-  if (std::fclose(f) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+  doc += '\n';
+
+  // Write-then-rename so a reader (or a kill signal) can never observe a
+  // half-written report at `path`.
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool written = std::fwrite(doc.data(), 1, doc.size(), f) == doc.size();
+  if (std::fclose(f) != 0 || !written ||
+      std::rename(tmp.c_str(), path.c_str()) != 0) {
     std::remove(tmp.c_str());
     return false;
   }

@@ -238,16 +238,13 @@ struct BenchJsonExtras {
 };
 
 // Writes the batch as machine-readable JSON (schema kBenchSchema,
-// sim/digest.h):
-// per-job cycles, speedup over the workload's scalar baseline when one is
-// in the batch, DSA stats (including the speculation guard's rollback and
-// blacklist counters), energy breakdown, wall time, host simulation
-// throughput (the `host` block), fault-injection report (`faults` block,
-// armed runs only), per-cell status/attempts, the run_status/cache/
-// breaker resilience census (docs/RESILIENCE.md), the `stream`/`gen`
-// blocks of streaming and generated workloads, plus the oracle
-// verdict. Failed cells appear with a minimal payload so a poisoned cell
-// is visible, not silently dropped. The file is written to a temporary
+// sim/digest.h, docs/BENCH_SCHEMA.md): the run census, the run_status/
+// cache/breaker resilience census (docs/RESILIENCE.md) and the oracle
+// verdict, then one cell per job, each exactly as the cell codec
+// (sim/codec.h) encodes it for the result cache, plus the speedup over
+// the workload's scalar baseline when one is in the batch. Failed cells
+// appear with a minimal payload so a poisoned cell is visible, not
+// silently dropped. The file is written to a temporary
 // sibling and atomically renamed into place so an interrupted run never
 // leaves a truncated report. Returns false if the file could not be
 // written.

@@ -12,8 +12,10 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -23,11 +25,11 @@
 
 #include "fault/fault.h"
 #include "resilience/breaker.h"
-#include "resilience/codec.h"
 #include "resilience/iofault.h"
 #include "resilience/isolate.h"
 #include "resilience/mini_json.h"
 #include "resilience/supervisor.h"
+#include "sim/codec.h"
 #include "sim/error.h"
 #include "sim/runner.h"
 #include "workloads/gen/generator.h"
@@ -52,6 +54,7 @@ namespace {
 
 using sim::BatchReport;
 using sim::BatchRunner;
+using sim::Crc32;
 using sim::JobOutcome;
 using sim::RunMode;
 using sim::RunnerOptions;
@@ -152,11 +155,77 @@ TEST(Codec, CarriesStreamAndGeneratorMetadata) {
   }
 }
 
+// One codec: every results[] element of the bench report is exactly
+// SerializeOutcome's bytes, and ParseOutcome reads it back to the same
+// bytes — across all four modes, the Original DSA, a fault plan, a
+// streaming kernel, a generated loop and a poisoned cell.
+TEST(Codec, BenchJsonCellsAreTheCodecEncoding) {
+  RunnerOptions o;
+  o.jobs = 1;
+  o.repeats = 1;
+  o.run_fn = [](const Workload& wl, RunMode mode, const SystemConfig& cfg) {
+    if (wl.name == "Poison") {
+      throw sim::DsaError(sim::DsaErrorCode::kStepLimit, "poisoned cell");
+    }
+    return sim::Run(wl, mode, cfg);
+  };
+  BatchRunner runner(o);
+  const Workload vec = workloads::MakeVecAdd(256);
+  (void)runner.SubmitMatrix(vec);
+  SystemConfig original;
+  original.dsa = engine::DsaConfig::Original();
+  (void)runner.Submit(vec, RunMode::kDsa, original, "orig");
+  SystemConfig faulted;
+  faulted.faults = fault::ParseFaultPlan("lane@0+;seed=7");
+  (void)runner.Submit(vec, RunMode::kDsa, faulted, "faults");
+  (void)runner.Submit(workloads::MakeStrCopy(500), RunMode::kDsa);
+  (void)runner.Submit(
+      workloads::gen::MakeGenerated(3, workloads::gen::LoopClass::kSentinel),
+      RunMode::kDsa);
+  Workload poison = workloads::MakeVecAdd(64);
+  poison.name = "Poison";
+  (void)runner.Submit(poison, RunMode::kScalar);
+  const BatchReport report = runner.Finish();
+  const std::string path = TempPath("one_codec.json");
+  ASSERT_TRUE(sim::WriteBenchJson(path, "one_codec", runner, report));
+
+  // The report carries one cell per line: "  <cell>" or "  <cell>,".
+  std::vector<std::string> cells;
+  std::istringstream lines(Slurp(path));
+  std::remove(path.c_str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("  {", 0) != 0) continue;
+    line.erase(0, 2);
+    if (line.back() == ',') line.pop_back();
+    cells.push_back(line);
+  }
+  ASSERT_EQ(cells.size(), runner.outcomes().size());
+  std::size_t i = 0;
+  for (const auto& [key, out] : runner.outcomes()) {
+    const std::uint64_t scalar =
+        key.rfind("VecAdd@", 0) == 0
+            ? runner.outcomes().at("VecAdd@arm-original").result().cycles
+            : 0;
+    const std::string cell = SerializeOutcome(out, scalar);
+    EXPECT_EQ(cells[i++], cell) << key;
+    JsonValue j;
+    ASSERT_TRUE(ParseJson(cell, j)) << key;
+    JobOutcome back;
+    ASSERT_TRUE(ParseOutcome(j, back)) << key;
+    EXPECT_EQ(SerializeOutcome(back, scalar), cell) << key;
+    EXPECT_EQ(back.workload_key, out.workload_key) << key;
+  }
+  EXPECT_EQ(runner.outcomes().at("Poison@arm-original").cell_status,
+            "faulted");
+  EXPECT_TRUE(runner.outcomes().at("VecAdd@neon-dsa/faults").result()
+                  .faults.has_value());
+}
+
 TEST(Codec, RefusesACellWithoutItsKeyOrResult) {
   const JobOutcome out = RunOneCell(workloads::MakeVecAdd(256), RunMode::kScalar);
   const std::string good = SerializeOutcome(out);
   JobOutcome back;
-  for (const char* field : {"\"key\"", "\"result\"", "\"attempts\""}) {
+  for (const char* field : {"\"job\"", "\"cycles\"", "\"attempts\""}) {
     // Rename the field so the object still parses but no longer carries it.
     std::string bad = good;
     const std::size_t at = bad.find(field);
@@ -325,11 +394,73 @@ TEST(Isolate, ReturnsIdenticalResultsToInProcessExecution) {
   IsolateOptions opts;
   sim::RunResult isolated = RunIsolated(
       [&] { return sim::Run(wl, RunMode::kDsa, cfg); }, opts, "unit");
-  // Host wall time is the one legitimately volatile field.
+  // The isolated cell names the core that actually ran.
+  EXPECT_EQ(isolated.host_dispatch, in_process.host_dispatch);
+  EXPECT_EQ(isolated.host_dispatch, cpu::DispatchMode::kThreaded);
+  // Host wall time and its phase split are the legitimately volatile
+  // fields.
   in_process.host_wall_ms = 0;
   isolated.host_wall_ms = 0;
+  in_process.host_phases = {};
+  isolated.host_phases = {};
   EXPECT_EQ(SerializeRunResult(isolated), SerializeRunResult(in_process));
 }
+
+#if defined(__linux__)
+// True once `pid` has exited (gone, or a zombie awaiting its reaper).
+bool ProcessEnded(pid_t pid) {
+  std::ifstream stat("/proc/" + std::to_string(pid) + "/stat");
+  std::string line;
+  if (!std::getline(stat, line)) return true;
+  const std::size_t paren = line.rfind(')');
+  return paren != std::string::npos && paren + 2 < line.size() &&
+         line[paren + 2] == 'Z';
+}
+
+// An isolated child never outlives its driver: it signals its parent
+// until the bounded drain ends it, and must die with it.
+TEST(IsolateDeathTest, ChildDiesWithItsParent) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  // Not TempPath: the re-executed death-test process has another pid.
+  const std::string pid_path = ::testing::TempDir() + "resilience_orphan.pid";
+  std::remove(pid_path.c_str());
+  EXPECT_EXIT(
+      {
+        InstallDrainHandler();
+        (void)RunIsolated(
+            [&pid_path]() -> sim::RunResult {
+              const pid_t parent = ::getppid();
+              // Drop the inherited descriptors, gtest's capture pipes
+              // among them, so the death test ends with the parent
+              // whether or not this child lives on.
+              for (int fd = 0; fd < 1024; ++fd) ::close(fd);
+              std::ofstream(pid_path) << ::getpid() << '\n';
+              // The first SIGTERM only drains; a later one ends the
+              // parent. A child that survives it exits on its own 2 s
+              // later, after the check below has failed.
+              while (::getppid() == parent) {
+                ::kill(parent, SIGTERM);
+                ::usleep(20000);
+              }
+              ::sleep(2);
+              std::_Exit(0);
+            },
+            IsolateOptions{}, "orphan");
+        std::_Exit(0);
+      },
+      ::testing::KilledBySignal(SIGTERM), "");
+  pid_t child = 0;
+  std::ifstream(pid_path) >> child;
+  std::remove(pid_path.c_str());
+  ASSERT_GT(child, 0);
+  bool ended = false;
+  for (int i = 0; i < 100 && !ended; ++i) {
+    ended = ProcessEnded(child);
+    if (!ended) ::usleep(10000);
+  }
+  EXPECT_TRUE(ended) << "isolated child " << child << " outlived its parent";
+}
+#endif  // __linux__
 
 #endif  // __unix__ || __APPLE__
 
@@ -445,6 +576,28 @@ TEST(Drain, CancelsQueuedCellsAndMarksTheBatchInterrupted) {
   // Cancelled cells are an interruption, not a correctness violation:
   // the partial report still validates.
   EXPECT_TRUE(report.ok());
+}
+
+// Bounded drain: the first SIGTERM only raises the drain flag; a second
+// one ends the process instead of waiting on a cell that may never finish.
+TEST(DrainDeathTest, SecondSignalEndsTheProcess) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(
+      {
+        InstallDrainHandler();
+        std::raise(SIGTERM);
+        std::_Exit(Supervisor::DrainRequested() ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(
+      {
+        InstallDrainHandler();
+        std::raise(SIGTERM);
+        if (!Supervisor::DrainRequested()) std::_Exit(1);
+        std::raise(SIGTERM);
+        std::_Exit(0);
+      },
+      ::testing::KilledBySignal(SIGTERM), "");
 }
 
 TEST(Drain, SupervisorReportsInterruptedRunStatus) {

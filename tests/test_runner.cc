@@ -163,7 +163,7 @@ TEST(BatchRunner, WritesWellFormedJson) {
   EXPECT_EQ(brackets, 0);
   EXPECT_FALSE(in_string);
   for (const char* needle :
-       {"\"schema\": \"dsa-bench-json/7\"", "\"bench\": \"runner_test\"",
+       {"\"schema\": \"dsa-bench-json/8\"", "\"bench\": \"runner_test\"",
         "\"oracle\"", "\"ok\": true", "\"results\"", "\"cycles\"",
         "\"speedup_vs_scalar\"", "\"energy\"", "\"output_digest\"",
         "\"host\"", "\"mips\"", "\"dsa\"", "\"takeovers\"",
@@ -171,7 +171,11 @@ TEST(BatchRunner, WritesWellFormedJson) {
         "\"neon_ms\"",
         "\"cell_status\": \"ok\"", "\"faulted_cells\": 0",
         "\"restored_cells\": 0", "\"cancelled_cells\": 0",
-        "\"run_status\": \"complete\"", "\"rollbacks\""}) {
+        "\"run_status\": \"complete\"", "\"rollbacks\"",
+        "\"config_digest\"", "\"mem_reads\"", "\"issue_slots\"",
+        "\"observed_instructions\"", "\"dsa_cache_accesses\"",
+        "\"entries_by_class\"", "\"rejects_by_reason\"",
+        "\"dispatch\": \"threaded\""}) {
     EXPECT_NE(json.find(needle), std::string::npos) << needle;
   }
   std::remove(path.c_str());

@@ -23,7 +23,6 @@
 
 #include "bench/bench_util.h"
 #include "fault/fault.h"
-#include "resilience/codec.h"
 #include "resilience/iofault.h"
 #include "resilience/mini_json.h"
 #include "resilience/supervisor.h"
@@ -33,6 +32,7 @@
 #include "serve/flags.h"
 #include "serve/pool.h"
 #include "serve/proto.h"
+#include "sim/codec.h"
 #include "sim/runner.h"
 #include "workloads/workloads.h"
 
@@ -365,6 +365,26 @@ CacheKey FakeKey(const std::string& job_key) {
   return key;
 }
 
+TEST(ResultCacheTest, LoadRestoresTheCellIdentity) {
+  // The daemon answers a cache hit with the loaded cell's workload key,
+  // mode and config tag, so the entry must carry them.
+  ResultCache cache;
+  ASSERT_TRUE(cache.Open(TempPath("identity")));
+  const CacheKey key = FakeKey("VecAdd#n64@neon-dsa/orig");
+  JobOutcome out = FakeOutcome("VecAdd#n64@neon-dsa/orig");
+  out.workload_key = "VecAdd#n64";
+  out.mode = RunMode::kDsa;
+  out.config_tag = "orig";
+  out.runs[0].mode = RunMode::kDsa;
+  ASSERT_TRUE(cache.Store(key, out));
+  JobOutcome in;
+  ASSERT_TRUE(cache.Load(key, in));
+  EXPECT_EQ(in.workload_key, "VecAdd#n64");
+  EXPECT_EQ(in.mode, RunMode::kDsa);
+  EXPECT_EQ(in.config_tag, "orig");
+  EXPECT_EQ(in.result().mode, RunMode::kDsa);
+}
+
 TEST(ResultCacheTest, StoreLoadRoundTripsTheOutcome) {
   ResultCache cache;
   std::string err;
@@ -682,7 +702,7 @@ TEST(CliCache, RestoresStoredCellsWithoutReexecution) {
     EXPECT_EQ(report.restored_cells, 0u);
     EXPECT_EQ(binding->cache.stats().stores, 4u);
     for (const std::string& k : keys) {
-      serialized[k] = resilience::SerializeOutcome(runner.outcomes().at(k));
+      serialized[k] = sim::SerializeOutcome(runner.outcomes().at(k));
     }
   }
 
@@ -712,7 +732,15 @@ TEST(CliCache, RestoresStoredCellsWithoutReexecution) {
     const JobOutcome& out = runner2.outcomes().at(k);
     EXPECT_TRUE(out.restored) << k;
     EXPECT_EQ(out.cell_status, "ok") << k;
-    EXPECT_EQ(resilience::SerializeOutcome(out), serialized[k]) << k;
+    // A restored cell names the core that ran it and keeps its host
+    // phase split, like the in-process run it was stored from.
+    EXPECT_EQ(out.result().host_dispatch, cpu::DispatchMode::kThreaded) << k;
+    const RunResult::HostPhases& ph = out.result().host_phases;
+    EXPECT_GT(ph.dispatch_ms + ph.observe_ms + ph.mem_ms + ph.neon_ms, 0.0)
+        << k;
+    JobOutcome as_stored = out;
+    as_stored.restored = false;
+    EXPECT_EQ(sim::SerializeOutcome(as_stored), serialized[k]) << k;
   }
 
   // A run asking for more determinism samples than were stored executes
