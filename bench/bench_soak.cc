@@ -143,14 +143,15 @@ int WorkerMain(const SoakArgs& a) {
   dsa::sim::RunnerOptions ro;
   ro.jobs = a.jobs;
   ro.repeats = 2;  // give the determinism oracle two samples per cell
-  std::shared_ptr<dsa::bench::CacheBinding> cache;
+  std::unique_ptr<dsa::serve::ResultCache> cache;
   if (!a.cache_dir.empty()) {
     std::string err;
-    cache = dsa::bench::BindCache(a.cache_dir, ro, &err);
-    if (!cache) {
+    cache = std::make_unique<dsa::serve::ResultCache>();
+    if (!cache->Open(a.cache_dir, &err)) {
       std::fprintf(stderr, "soak worker: %s\n", err.c_str());
       return 2;
     }
+    dsa::serve::BindCache(*cache, ro);
   }
 
   std::atomic<std::uint64_t> stored{0};

@@ -17,9 +17,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -34,63 +32,6 @@
 #include "trace/chrome_export.h"
 
 namespace dsa::bench {
-
-// --cache DIR: the content-addressed result store (serve/cache.h), shared
-// with dsa_serve, bound to the runner's resume seams the way the daemon
-// uses it per cell — the key is computed once per distinct job, a hit is
-// restored instead of executed, and a cell that completed here is stored
-// (fsync'd, atomically renamed) as soon as it completes. A sweep
-// killed mid-batch and rerun over the same DIR restores every completed
-// cell; a different config or workload has a different key, so a stored
-// cell is never restored where this binary would compute another one.
-struct CacheBinding {
-  serve::ResultCache cache;
-  std::mutex mu;
-  // Keys computed by lookups that missed, consumed by the store of the
-  // same cell (by JobKey; the runner executes each distinct job once).
-  std::map<std::string, serve::CacheKey> pending;
-};
-
-// Opens the cache in `dir` and binds it to `ro`'s seams; null with
-// `error` filled when the directory cannot be created or used.
-inline std::shared_ptr<CacheBinding> BindCache(const std::string& dir,
-                                               sim::RunnerOptions& ro,
-                                               std::string* error) {
-  auto binding = std::make_shared<CacheBinding>();
-  if (!binding->cache.Open(dir, error)) return nullptr;
-  const std::size_t repeats = ro.repeats < 1 ? 1u
-                                             : static_cast<std::size_t>(
-                                                   ro.repeats);
-  ro.restore_fn = [binding, repeats](const sim::BatchJob& job,
-                                     sim::JobOutcome& out) {
-    serve::CacheKey key = serve::KeyFor(job);
-    // A stored cell answers only if it carries at least the determinism
-    // samples this run asks for; one stored with fewer re-executes.
-    if (binding->cache.Load(key, out) && out.runs.size() >= repeats) {
-      out.runs.resize(repeats);
-      return true;
-    }
-    const std::string job_key = key.job_key;
-    std::lock_guard<std::mutex> lock(binding->mu);
-    binding->pending[job_key] = std::move(key);
-    return false;
-  };
-  ro.on_outcome = [binding](const sim::BatchJob& job,
-                            const sim::JobOutcome& out) {
-    serve::CacheKey key;
-    {
-      std::lock_guard<std::mutex> lock(binding->mu);
-      const auto it = binding->pending.find(sim::JobKey(job));
-      if (it == binding->pending.end()) return;
-      key = std::move(it->second);
-      binding->pending.erase(it);
-    }
-    // Only completed cells are worth restoring; a failed cell executes
-    // again next time (the fault may have been environmental).
-    if (out.cell_status == "ok") (void)binding->cache.Store(key, out);
-  };
-  return binding;
-}
 
 struct BenchOptions {
   sim::RunnerOptions runner;  // --jobs, --repeats, --no-oracle
@@ -108,9 +49,9 @@ struct BenchOptions {
   std::shared_ptr<resilience::Supervisor> supervisor;
   // --cache DIR: resume through the result cache; empty = no cache.
   std::string cache_dir;
-  // Opened (and attached to `runner`) by ParseBenchArgs when --cache is
-  // given; FinishBench reads its census for the JSON.
-  std::shared_ptr<CacheBinding> cache;
+  // Opened (and bound to `runner` by serve::BindCache) by ParseBenchArgs
+  // when --cache is given; FinishBench reads its census for the JSON.
+  std::shared_ptr<serve::ResultCache> cache;
   bool serial = false;        // --serial: seed-style direct Run() loop
   bool compare = false;       // --compare: time serial vs. runner paths
   bool reference = false;     // --reference: pre-optimization sim paths
@@ -381,11 +322,12 @@ inline BenchOptions ParseBenchArgs(int argc, char** argv) {
   }
   if (!o.cache_dir.empty()) {
     std::string err;
-    o.cache = BindCache(o.cache_dir, o.runner, &err);
-    if (!o.cache) {
+    o.cache = std::make_shared<serve::ResultCache>();
+    if (!o.cache->Open(o.cache_dir, &err)) {
       std::fprintf(stderr, "%s\n", err.c_str());
       std::exit(2);
     }
+    serve::BindCache(*o.cache, o.runner);
   }
   return o;
 }
@@ -441,11 +383,11 @@ inline const sim::RunResult& ResultOrEmpty(sim::BatchRunner& runner,
 // The cache block of the bench JSON: hits are the cells this batch
 // restored; the store, failure and quarantine counters come from the
 // cache itself.
-inline void FillCacheCensus(const CacheBinding& binding,
+inline void FillCacheCensus(const serve::ResultCache& cache,
                             const sim::BatchReport& report,
                             sim::BenchJsonExtras& extras) {
-  const serve::CacheStats stats = binding.cache.stats();
-  extras.cache_path = binding.cache.dir();
+  const serve::CacheStats stats = cache.stats();
+  extras.cache_path = cache.dir();
   extras.cache_hits = report.restored_cells;
   extras.cache_stores = stats.stores;
   extras.cache_store_failures = stats.store_failures;

@@ -50,10 +50,13 @@ echo "== chaos smoke under isolation + result cache =="
 # runs in a forked child (--isolate) and is stored in the result cache
 # (--cache). Proves the fault-injection path, process isolation and the
 # cache store compose, with the sanitizers watching both sides of the
-# pipe protocol.
+# pipe protocol. Every fork-isolation step runs under `timeout -k 10 300`:
+# a fork from the multi-threaded runner can deadlock the child (ROADMAP),
+# and the gate must then fail in bounded time instead of hanging. The
+# first SIGTERM only drains the driver, so -k ends it 10 s later.
 rm -rf "$BUILD"/CHAOS_check.cache
-"$BUILD"/bench/bench_chaos --filter VecAdd --jobs 2 --isolate \
-    --cache "$BUILD"/CHAOS_check.cache \
+timeout -k 10 300 "$BUILD"/bench/bench_chaos --filter VecAdd --jobs 2 \
+    --isolate --cache "$BUILD"/CHAOS_check.cache \
     --json "$BUILD"/BENCH_chaos_isolate_check.json
 python3 scripts/validate_bench.py "$BUILD"/BENCH_chaos_isolate_check.json
 grep -q '"run_status": "complete"' "$BUILD"/BENCH_chaos_isolate_check.json
@@ -97,8 +100,8 @@ cmake --build build-tsan -j "$JOBS" --target test_runner test_resilience \
     test_serve bench_stream
 TSAN_OPTIONS="halt_on_error=1" build-tsan/tests/test_runner
 TSAN_OPTIONS="halt_on_error=1" build-tsan/tests/test_resilience
-# The serving daemon's pool/dispatcher/cache locking under TSan (the
-# fork-isolate e2e case self-skips: multi-threaded fork is unsupported).
+# The serving daemon's runner/dispatcher/cache locking under TSan (the
+# fork-isolate e2e cases self-skip: multi-threaded fork is unsupported).
 TSAN_OPTIONS="halt_on_error=1" build-tsan/tests/test_serve
 
 echo "== generator sweep under TSan (64 seeds, --jobs 4) =="
@@ -136,8 +139,8 @@ echo "== one cell codec: in-process, isolated and restored cells agree =="
 rm -rf build/CODEC_check.cache
 build/bench/bench_a3_fig8_perf --filter RGB --jobs 1 \
     --json build/BENCH_codec_inproc.json
-build/bench/bench_a3_fig8_perf --filter RGB --jobs 1 --isolate \
-    --json build/BENCH_codec_isolate.json
+timeout -k 10 300 build/bench/bench_a3_fig8_perf --filter RGB --jobs 1 \
+    --isolate --json build/BENCH_codec_isolate.json
 for pass in 1 2; do
   build/bench/bench_a3_fig8_perf --filter RGB --jobs 1 \
       --cache build/CODEC_check.cache \
@@ -267,14 +270,15 @@ rm -rf "$CLI_CACHE" "$SOCK"
 echo "== serving daemon crash drill (isolated cell, typed 'crashed') =="
 # One cell aborts inside its fork isolate; the daemon classifies it as
 # "crashed" while every sibling completes — failure poisons one cell,
-# never the sweep.
-build/bench/dsa_serve --socket "$SOCK" --isolate \
+# never the sweep. Bounded like the other fork-isolation steps: the
+# daemon and the submit each run under `timeout -k 10 300`.
+timeout -k 10 300 build/bench/dsa_serve --socket "$SOCK" --isolate \
     --crash-cell "BitCount@neon-dsa/orig" &
 SERVE_PID=$!
 wait_for_daemon
 set +e
-build/bench/dsa_submit --socket "$SOCK" --filter BitCount \
-    --json build/SERVE_crash_check.json --quiet
+timeout -k 10 300 build/bench/dsa_submit --socket "$SOCK" \
+    --filter BitCount --json build/SERVE_crash_check.json --quiet
 RC=$?
 set -e
 [[ "$RC" -eq 1 ]]  # cells failed, sweep completed

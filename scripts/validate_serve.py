@@ -11,7 +11,7 @@ contract in docs/SERVING.md:
     output digest,
   * the cells_ok / cells_failed / cells_cached tallies reconcile with
     the cells array,
-  * the cache, pool and breaker telemetry blocks are present with sane
+  * the cache and breaker telemetry blocks are present with sane
     values (breaker states in closed/open/half-open), including the
     cache store_failures / fsync_failures degradation counters,
   * when a "health" block is present (a `dsa_submit --health` probe) it
@@ -115,15 +115,6 @@ def check_telemetry(resp: dict) -> None:
             v = cache.get(field)
             if not isinstance(v, int) or v < 0:
                 err(f"cache.{field}: {v!r} is not a non-negative integer")
-    pool = resp.get("pool")
-    if not isinstance(pool, dict):
-        err("pool: missing telemetry block")
-    else:
-        for field in ("executed", "escaped", "respawns", "discarded",
-                      "live_workers"):
-            v = pool.get(field)
-            if not isinstance(v, int) or v < 0:
-                err(f"pool.{field}: {v!r} is not a non-negative integer")
     breaker = resp.get("breaker")
     if not isinstance(breaker, list):
         err("breaker: missing census array")

@@ -49,7 +49,7 @@ Supervisor::Supervisor(SupervisorOptions opts)
 
 void Supervisor::Attach(sim::RunnerOptions& ro) {
   if (opts_.install_signal_drain) InstallDrainHandler();
-  ro.drain = &g_drain;
+  ro.drain = [] { return g_drain.load(std::memory_order_relaxed); };
 
   // Wrap whatever run function the driver installed (sim::Run when none)
   // with the breaker gate and, when requested, the forked-child sandbox.

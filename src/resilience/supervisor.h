@@ -1,17 +1,18 @@
-// Supervisor: the one object a bench driver instantiates to make its
-// BatchRunner resilient. It composes three resilience pieces
-// (docs/RESILIENCE.md) behind the runner's existing seams:
+// Supervisor: the one object that makes a BatchRunner resilient, for a
+// bench driver's sweep and for every request of the serving daemon
+// alike (which keeps one Supervisor for its lifetime, so the breaker
+// census is cumulative across requests). It composes three resilience
+// pieces (docs/RESILIENCE.md) behind the runner's existing seams:
 //   - process isolation  -> wraps RunnerOptions::run_fn (isolate.h)
-//   - circuit breaker    -> fail-fast inside the wrapped run_fn
-//                                                       (breaker.h)
-//   - graceful drain     -> SIGINT/SIGTERM set a process-wide flag the
-//     runner polls; in-flight cells finish, queued cells become
-//     "cancelled" and the JSON reports run_status "interrupted". A
-//     second signal ends the process.
+//   - circuit breaker    -> fail-fast inside the wrapped run_fn, fed
+//                           once per attempt                (breaker.h)
+//   - graceful drain     -> SIGINT/SIGTERM set a process-wide flag that
+//     RunnerOptions::drain tests; in-flight cells finish, queued cells
+//     become "cancelled" and the JSON reports run_status "interrupted".
+//     A second signal ends the process.
 // Resume after a crash is not a supervisor concern: completed cells are
-// durable in the content-addressed result cache (serve/cache.h), which
-// the bench drivers bind to the runner's restore_fn/on_outcome seams
-// with --cache DIR (bench/bench_util.h).
+// durable in the content-addressed result cache, bound to the runner's
+// restore_fn/on_outcome seams by serve::BindCache (serve/cache.h).
 #pragma once
 
 #include <atomic>
@@ -27,9 +28,10 @@ namespace dsa::resilience {
 // Installs the SIGINT/SIGTERM graceful-drain handler (idempotent): the
 // handler sets Supervisor::DrainFlag(), an async-signal-safe atomic
 // store, and restores the default action of both signals, so a second
-// SIGINT/SIGTERM ends the process (the drain is bounded). Supervisor::Attach calls this; it is exposed for long-lived
-// drivers that drain without a Supervisor (the serving daemon,
-// src/serve/daemon.cc).
+// SIGINT/SIGTERM ends the process (the drain is bounded).
+// Supervisor::Attach calls this; it is exposed for the serving daemon,
+// whose accept loop drains before any request has attached
+// (src/serve/daemon.cc).
 void InstallDrainHandler();
 
 struct SupervisorOptions {
@@ -56,10 +58,11 @@ class Supervisor {
  public:
   explicit Supervisor(SupervisorOptions opts);
 
-  // Installs the resilience seams into the runner options. Call before
-  // constructing the BatchRunner. The existing run_fn (test seam / fault
-  // injection) keeps working — it becomes the inner function the
-  // isolation wrapper executes.
+  // Installs the resilience seams into the runner options: the wrapped
+  // run_fn and the drain test. Call before constructing the BatchRunner.
+  // The existing run_fn (test seam, fault injection, the daemon's crash
+  // drill) keeps working — it becomes the inner function the isolation
+  // wrapper executes.
   void Attach(sim::RunnerOptions& ro);
 
   // Census for WriteBenchJson, after runner.Finish().

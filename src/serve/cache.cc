@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <map>
+#include <memory>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -356,6 +358,42 @@ ScrubStats ResultCache::Scrub() {
   std::lock_guard<std::mutex> lock(mu_);
   scrub_stats_ = s;
   return s;
+}
+
+void BindCache(ResultCache& cache, sim::RunnerOptions& ro) {
+  // Keys computed by lookups that missed, consumed by the store of the
+  // same cell (by JobKey; the runner executes each distinct job once).
+  struct PendingKeys {
+    std::mutex mu;
+    std::map<std::string, CacheKey> keys;
+  };
+  auto pending = std::make_shared<PendingKeys>();
+  const std::size_t repeats =
+      ro.repeats < 1 ? 1u : static_cast<std::size_t>(ro.repeats);
+  ro.restore_fn = [&cache, pending, repeats](const sim::BatchJob& job,
+                                             sim::JobOutcome& out) {
+    CacheKey key = KeyFor(job);
+    if (cache.Load(key, out) && out.runs.size() >= repeats) {
+      out.runs.resize(repeats);
+      return true;
+    }
+    std::string job_key = key.job_key;
+    std::lock_guard<std::mutex> lock(pending->mu);
+    pending->keys[std::move(job_key)] = std::move(key);
+    return false;
+  };
+  ro.on_outcome = [&cache, pending](const sim::BatchJob& job,
+                                    const sim::JobOutcome& out) {
+    CacheKey key;
+    {
+      std::lock_guard<std::mutex> lock(pending->mu);
+      const auto it = pending->keys.find(sim::JobKey(job));
+      if (it == pending->keys.end()) return;
+      key = std::move(it->second);
+      pending->keys.erase(it);
+    }
+    if (out.cell_status == "ok") (void)cache.Store(key, out);
+  };
 }
 
 CacheStats ResultCache::stats() const {

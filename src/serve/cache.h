@@ -1,6 +1,7 @@
 // Persistent content-addressed result cache (docs/SERVING.md), the one
 // durable result store: the serving daemon answers from it, and bench
-// drivers run with --cache DIR resume through it (docs/RESILIENCE.md).
+// drivers run with --cache DIR resume through it (docs/RESILIENCE.md),
+// both through the one runner binding, BindCache.
 // One file per completed cell, keyed by the workload digest, the config
 // digest, the engine version and the bench-schema version, so a restart —
 // including a kill -9 mid-sweep — serves every previously completed cell
@@ -131,5 +132,20 @@ class ResultCache {
   CacheStats stats_;
   ScrubStats scrub_stats_;
 };
+
+// Binds `cache` to the runner's resume seams; the one cache binding of
+// both front ends (bench drivers with --cache DIR, every dsa_serve
+// request). restore_fn digests the key once per distinct job, on the
+// worker thread, and restores a stored cell only if it holds at least
+// `ro.repeats` determinism samples (extra ones are dropped; a cell
+// stored with fewer executes again). on_outcome stores the cell under
+// that same key once it completed "ok"; a failed cell executes again
+// next time (the fault may have been environmental). A killed sweep
+// rerun over the same cache restores every completed cell, and a
+// different config or workload is a different key, so a stored cell is
+// never restored where this binary would compute another one. Set
+// ro.repeats first; `cache` stays the caller's (its stats() feed the
+// census) and must outlive every runner built from `ro`.
+void BindCache(ResultCache& cache, sim::RunnerOptions& ro);
 
 }  // namespace dsa::serve

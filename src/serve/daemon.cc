@@ -10,15 +10,14 @@
 #include <cstring>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "resilience/iofault.h"
 #include "resilience/isolate.h"
 #include "resilience/mini_json.h"
-#include "resilience/supervisor.h"
 #include "serve/flags.h"
 #include "serve/proto.h"
-#include "sim/error.h"
 #include "workloads/workloads.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -114,7 +113,7 @@ int AdmissionControl::depth() const {
 
 Daemon::Daemon(DaemonOptions opts)
     : opts_(std::move(opts)),
-      breaker_(opts_.breaker_threshold, opts_.breaker_probe_after),
+      supervisor_(opts_.resilience),
       admission_(opts_.queue_limit, opts_.client_quota) {}
 
 Daemon::~Daemon() {
@@ -132,18 +131,18 @@ bool Daemon::Init(std::string* error) {
     if (error != nullptr) *error = "--socket is required";
     return false;
   }
-  if (!opts_.crash_cell.empty() && !opts_.isolate) {
+  const resilience::SupervisorOptions& res = opts_.resilience;
+  if (!opts_.crash_cell.empty() && !res.isolate) {
     if (error != nullptr) *error = "--crash-cell requires --isolate";
     return false;
   }
-  if ((opts_.cell_deadline_ms > 0 || opts_.mem_limit_mb > 0) &&
-      !opts_.isolate) {
+  if ((res.deadline_ms > 0 || res.mem_limit_mb > 0) && !res.isolate) {
     if (error != nullptr) {
       *error = "--cell-deadline-ms/--mem-limit-mb require --isolate";
     }
     return false;
   }
-  if (opts_.isolate && !resilience::IsolationAvailable()) {
+  if (res.isolate && !resilience::IsolationAvailable()) {
     if (error != nullptr) *error = "--isolate: fork unavailable here";
     return false;
   }
@@ -209,8 +208,6 @@ bool Daemon::Init(std::string* error) {
   // write() returning EPIPE is handled instead.
   std::signal(SIGPIPE, SIG_IGN);
   resilience::InstallDrainHandler();
-  pool_ = std::make_unique<WorkerPool>(
-      PoolOptions{.workers = opts_.workers});
   return true;
 #else
   (void)error;
@@ -244,7 +241,6 @@ int Daemon::Serve() {
     readers_cv_.wait(lock, [this] { return readers_ == 0; });
   }
   if (dispatcher_.joinable()) dispatcher_.join();
-  pool_->Shutdown();
   ::close(listen_fd_);
   listen_fd_ = -1;
   (void)::unlink(opts_.socket_path.c_str());
@@ -430,70 +426,31 @@ void Daemon::ProcessRequest(Request& req) {
   }
   if (req.kind == "ping" || req.kind == "health") {
     const std::string body =
-        BuildResponse("ok", "", {}, {}, /*health=*/req.kind == "health");
+        BuildResponse("ok", "", {}, /*health=*/req.kind == "health");
     (void)SendFrame(req.fd, kFrameResponse, body);
     ::close(req.fd);
     return;
   }
 
-  const std::vector<sim::BatchJob> jobs = SweepJobs(req.filter);
+  std::vector<sim::BatchJob> jobs = SweepJobs(req.filter);
   if (jobs.empty()) {
     RespondError(req.fd, "bad-request",
                  "filter \"" + req.filter + "\" matches no cells");
     return;
   }
 
-  std::vector<sim::JobOutcome> cells(jobs.size());
-  std::vector<bool> cached(jobs.size(), false);
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::size_t remaining = jobs.size();
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    bool queued = pool_->Submit([this, &jobs, &cells, &cached, &done_mu,
-                                 &done_cv, &remaining, deadline, i] {
-      bool was_cached = false;
-      RunCell(jobs[i], deadline, cells[i], was_cached);
-      std::lock_guard<std::mutex> lock(done_mu);
-      cached[i] = was_cached;
-      if (--remaining == 0) done_cv.notify_all();
-    });
-    if (!queued) {
-      // Pool refused (shutdown or every worker retired): classify the
-      // cell instead of losing it.
-      cells[i].key = sim::JobKey(jobs[i]);
-      cells[i].workload_key = sim::WorkloadKey(jobs[i]);
-      cells[i].mode = jobs[i].mode;
-      cells[i].config_tag = jobs[i].config_tag;
-      cells[i].cell_status = "skipped";
-      cells[i].error = "overload: worker pool unavailable";
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--remaining == 0) done_cv.notify_all();
-    }
+  // One batch per request, answered in SweepJobs order.
+  sim::BatchRunner runner(RequestOptions(jobs, deadline));
+  std::vector<std::string> keys;
+  keys.reserve(jobs.size());
+  for (sim::BatchJob& job : jobs) {
+    keys.push_back(runner.Submit(std::move(job)));
   }
-  {
-    std::unique_lock<std::mutex> lock(done_mu);
-    while (remaining != 0) {
-      if (done_cv.wait_for(lock, std::chrono::milliseconds(500),
-                           [&remaining] { return remaining == 0; })) {
-        break;
-      }
-      // Backstop against a hang: if every pool worker has been retired,
-      // queued tasks were discarded and will never report back — claim
-      // the cells that never started (their key is still empty; every
-      // RunCell path fills it first) as refused.
-      if (pool_->stats().live_workers == 0) {
-        for (std::size_t i = 0; i < cells.size(); ++i) {
-          if (!cells[i].key.empty()) continue;
-          cells[i].key = sim::JobKey(jobs[i]);
-          cells[i].workload_key = sim::WorkloadKey(jobs[i]);
-          cells[i].mode = jobs[i].mode;
-          cells[i].config_tag = jobs[i].config_tag;
-          cells[i].cell_status = "skipped";
-          cells[i].error = "overload: worker pool retired";
-          --remaining;
-        }
-      }
-    }
+  (void)runner.Finish();
+  std::vector<const sim::JobOutcome*> cells;
+  cells.reserve(keys.size());
+  for (const std::string& key : keys) {
+    cells.push_back(&runner.outcomes().at(key));
   }
 
   std::string status = "ok";
@@ -502,110 +459,74 @@ void Daemon::ProcessRequest(Request& req) {
   } else if (std::chrono::steady_clock::now() >= deadline) {
     status = "deadline";
   }
-  const std::string body = BuildResponse(status, "", cells, cached);
+  const std::string body = BuildResponse(status, "", cells);
   (void)SendFrame(req.fd, kFrameResponse, body);
   ::close(req.fd);
 #endif
 }
 
-void Daemon::RunCell(const sim::BatchJob& job,
-                     std::chrono::steady_clock::time_point deadline,
-                     sim::JobOutcome& out, bool& cached) {
-  const std::string key = sim::JobKey(job);
-  const auto refuse = [&](const char* status, std::string why) {
-    out.key = key;
-    out.workload_key = sim::WorkloadKey(job);
-    out.mode = job.mode;
-    out.config_tag = job.config_tag;
-    out.cell_status = status;
-    out.error = std::move(why);
-  };
-
-  // 1. Persistent cache: a completed cell survives any number of daemon
-  // restarts and is served bit-identically without re-simulation.
-  CacheKey cache_key;
-  if (cache_.open()) {
-    cache_key = KeyFor(job);
-    if (cache_.Load(cache_key, out)) {
-      out.restored = true;
-      cached = true;
-      return;
-    }
-  }
-
-  // 2. Drain / request deadline: unstarted cells are abandoned, typed.
-  if (resilience::Supervisor::DrainRequested()) {
-    refuse("cancelled", "cancelled: daemon draining");
-    return;
-  }
-  if (std::chrono::steady_clock::now() >= deadline) {
-    refuse("cancelled", "cancelled: request deadline expired");
-    return;
-  }
-
-  // 3. Circuit breaker: a workload that keeps dying is failed fast.
-  if (breaker_.enabled() && !breaker_.Allow(job.workload.name)) {
-    refuse("skipped",
-           sim::DsaError(sim::DsaErrorCode::kBreakerOpen,
-                         "circuit breaker open for " + job.workload.name)
-               .what());
-    return;
-  }
-
-  // 4. Execute through the same classification path as a CLI sweep.
+sim::RunnerOptions Daemon::RequestOptions(
+    const std::vector<sim::BatchJob>& jobs,
+    std::chrono::steady_clock::time_point deadline) {
   sim::RunnerOptions ro;
+  ro.jobs = opts_.workers;
   ro.repeats = opts_.repeats;
-  const bool crash_this = !opts_.crash_cell.empty() &&
-                          key.find(opts_.crash_cell) != std::string::npos;
-  ro.run_fn = [this, crash_this, &key](const sim::Workload& wl,
-                                       sim::RunMode mode,
-                                       const sim::SystemConfig& cfg) {
-    if (opts_.isolate) {
-      const resilience::IsolateOptions io{opts_.cell_deadline_ms,
-                                          opts_.mem_limit_mb};
-      return resilience::RunIsolated(
-          [&] {
-            if (crash_this) std::abort();  // crash drill, child only
-            return sim::Run(wl, mode, cfg);
-          },
-          io, key);
+  ro.oracle = false;
+  if (!opts_.crash_cell.empty()) {
+    // Crash drill: the inner run_fn the supervisor's isolate wraps, so
+    // it aborts only inside the forked child. run_fn does not see the
+    // JobKey, so a cell is matched by what its key names: workload,
+    // mode and config (the config tag's config, by digest).
+    std::set<std::tuple<std::string, sim::RunMode, std::uint64_t>> doomed;
+    for (const sim::BatchJob& job : jobs) {
+      if (sim::JobKey(job).find(opts_.crash_cell) != std::string::npos) {
+        doomed.emplace(job.workload.name, job.mode,
+                       sim::ConfigDigest(job.config));
+      }
     }
-    return sim::Run(wl, mode, cfg);
+    ro.run_fn = [doomed](const sim::Workload& wl, sim::RunMode mode,
+                         const sim::SystemConfig& cfg) {
+      if (doomed.count({wl.name, mode, sim::ConfigDigest(cfg)}) != 0) {
+        std::abort();
+      }
+      return sim::Run(wl, mode, cfg);
+    };
+  }
+  supervisor_.Attach(ro);
+  // Cells not started by the request deadline are cancelled, like the
+  // ones a drain abandons.
+  ro.drain = [drained = ro.drain, deadline] {
+    return drained() || std::chrono::steady_clock::now() >= deadline;
   };
-  sim::ExecuteCell(job, ro, out);
-  if (breaker_.enabled()) {
-    breaker_.Record(job.workload.name, out.cell_status == "ok");
-  }
-
-  // 5. Promote to the cache, then the kill drill (in that order: the
-  // soak test relies on every *completed* cell being durable before the
-  // daemon dies).
-  if (out.cell_status == "ok" && cache_.open()) {
-    (void)cache_.Store(cache_key, out);
-  }
-  const std::uint64_t done = ++executed_cells_;
-  if (opts_.kill_after > 0 && done >= opts_.kill_after) {
-    std::fprintf(stderr, "[dsa_serve] kill drill: SIGKILL after %" PRIu64
-                         " executed cells\n",
-                 done);
-    std::fflush(stderr);
-    (void)::raise(SIGKILL);
-  }
+  if (cache_.open()) BindCache(cache_, ro);
+  // The kill drill fires after the store, so every cell the daemon
+  // completed before it died is durable.
+  ro.on_outcome = [this, store = ro.on_outcome](const sim::BatchJob& job,
+                                                const sim::JobOutcome& out) {
+    if (store) store(job, out);
+    const std::uint64_t done = ++executed_cells_;
+    if (opts_.kill_after > 0 && done >= opts_.kill_after) {
+      std::fprintf(stderr, "[dsa_serve] kill drill: SIGKILL after %" PRIu64
+                           " executed cells\n",
+                   done);
+      std::fflush(stderr);
+      (void)::raise(SIGKILL);
+    }
+  };
+  return ro;
 }
 
 void Daemon::RespondError(int fd, const std::string& status,
                           const std::string& error) {
 #if DSA_HAVE_SERVE
-  (void)SendFrame(fd, kFrameResponse, BuildResponse(status, error, {}, {}));
+  (void)SendFrame(fd, kFrameResponse, BuildResponse(status, error, {}));
   ::close(fd);
 #endif
 }
 
-std::string Daemon::BuildResponse(const std::string& status,
-                                  const std::string& error,
-                                  const std::vector<sim::JobOutcome>& cells,
-                                  const std::vector<bool>& cached,
-                                  bool health) {
+std::string Daemon::BuildResponse(
+    const std::string& status, const std::string& error,
+    const std::vector<const sim::JobOutcome*>& cells, bool health) {
   using resilience::JsonEscape;
   std::uint64_t ok = 0;
   std::uint64_t failed = 0;
@@ -618,14 +539,13 @@ std::string Daemon::BuildResponse(const std::string& status,
   body += kEngineVersion;
   body += "\",\"cells\":[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
-    const sim::JobOutcome& c = cells[i];
-    const bool hit = i < cached.size() && cached[i];
+    const sim::JobOutcome& c = *cells[i];
     if (c.cell_status == "ok") {
       ++ok;
     } else {
       ++failed;
     }
-    if (hit) ++from_cache;
+    if (c.restored) ++from_cache;
     if (i > 0) body += ',';
     body += "{\"job\":\"";
     body += JsonEscape(c.key);
@@ -638,7 +558,7 @@ std::string Daemon::BuildResponse(const std::string& status,
     body += "\",\"cell_status\":\"";
     body += JsonEscape(c.cell_status);
     body += "\",\"cached\":";
-    body += hit ? "true" : "false";
+    body += c.restored ? "true" : "false";
     body += ",\"attempts\":";
     body += std::to_string(c.attempts);
     body += ",\"error\":\"";
@@ -680,24 +600,9 @@ std::string Daemon::BuildResponse(const std::string& status,
   body += std::to_string(cs.fsync_failures);
   body += "}";
 
-  if (pool_ != nullptr) {
-    const PoolStats ps = pool_->stats();
-    body += ",\"pool\":{\"executed\":";
-    body += std::to_string(ps.executed);
-    body += ",\"escaped\":";
-    body += std::to_string(ps.escaped);
-    body += ",\"respawns\":";
-    body += std::to_string(ps.respawns);
-    body += ",\"discarded\":";
-    body += std::to_string(ps.discarded);
-    body += ",\"live_workers\":";
-    body += std::to_string(ps.live_workers);
-    body += "}";
-  }
-
   body += ",\"breaker\":[";
   bool first = true;
-  for (const sim::BreakerCensusEntry& e : breaker_.Census()) {
+  for (const sim::BreakerCensusEntry& e : supervisor_.breaker().Census()) {
     if (!first) body += ',';
     first = false;
     body += "{\"workload\":\"";

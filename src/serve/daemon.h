@@ -1,23 +1,26 @@
 // The crash-tolerant simulation daemon (dsa_serve, docs/SERVING.md): a
-// long-lived process on a Unix-domain socket that answers sweep requests
-// from the persistent result cache when it can and simulates the misses
-// on a respawning worker pool, with every failure classified through the
-// DsaError taxonomy into a per-cell status — exactly the statuses a CLI
-// sweep reports, because both paths execute through sim::ExecuteCell.
+// long-lived process on a Unix-domain socket that runs each sweep
+// request as one sim::BatchRunner batch, wired exactly like a --cache CLI
+// sweep — the result cache bound by BindCache (cache.h) answers what it
+// can, the rest executes under the daemon's one resilience::Supervisor —
+// so every failure is classified through the DsaError taxonomy into
+// exactly the per-cell statuses a CLI sweep reports.
 //
 // Crash tolerance story, layer by layer:
 //   - a cell that SIGSEGVs/OOMs/overruns its deadline is contained by
 //     the fork isolate (--isolate) and poisons only its own cell;
-//   - a task whose exception escapes in-process kills one pool worker,
-//     which is respawned with bounded exponential backoff (pool.h);
+//   - an exception escaping a cache lookup or store poisons only its
+//     own cell ("faulted"); the runner's workers survive it;
 //   - a workload that fails repeatedly trips its circuit breaker and is
-//     failed fast instead of re-simulated (resilience/breaker.h);
+//     failed fast instead of re-simulated (resilience/breaker.h); the
+//     breaker lives as long as the daemon, so its census is cumulative;
 //   - the daemon itself dying (kill -9) loses at most the in-flight
 //     cells: completed cells were promoted to the persistent cache with
 //     fsync + atomic rename, so a restarted daemon serves them
 //     bit-identically (cache.h);
-//   - SIGINT/SIGTERM drain gracefully: in-flight cells finish, queued
-//     work is rejected with the typed "overload" status, exit code 3.
+//   - SIGINT/SIGTERM drain gracefully: in-flight cells finish, unstarted
+//     cells are "cancelled", queued requests are rejected with the typed
+//     "overload" status, exit code 3.
 #pragma once
 
 #include <atomic>
@@ -26,15 +29,13 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "resilience/breaker.h"
+#include "resilience/supervisor.h"
 #include "serve/cache.h"
-#include "serve/pool.h"
 #include "sim/runner.h"
 
 namespace dsa::serve {
@@ -68,19 +69,15 @@ struct DaemonOptions {
   // Persistent result cache directory; empty disables the cache (every
   // request re-simulates).
   std::string cache_dir;
-  int workers = 2;       // simulation worker threads
+  int workers = 2;       // BatchRunner worker threads per request
   int queue_limit = 8;   // admission: max requests queued + in flight
   int client_quota = 4;  // admission: max per client name
   // Deadline applied to requests that do not carry their own; 0 = none.
   std::uint64_t default_deadline_ms = 0;
-  // Per-cell containment (resilience/isolate.h): fork isolation, cell
-  // wall-clock deadline, child address-space cap.
-  bool isolate = false;
-  std::uint64_t cell_deadline_ms = 0;
-  std::uint64_t mem_limit_mb = 0;
-  // Per-workload circuit breaker; 0 disables.
-  int breaker_threshold = 0;
-  int breaker_probe_after = 2;
+  // Per-cell containment and the per-workload circuit breaker, exactly
+  // the CLI's (--isolate, --cell-deadline-ms as deadline_ms,
+  // --mem-limit-mb, --breaker, --probe-after).
+  resilience::SupervisorOptions resilience;
   // Executions per cell (>= 2 feeds the determinism oracle's data; the
   // daemon default is 1 — cache hits make repeats pointless).
   int repeats = 1;
@@ -97,12 +94,13 @@ struct DaemonOptions {
   // exists so tests can observe first-Load quarantine behaviour.
   bool scrub = true;
   // --- crash-drill hooks (tests/check.sh only) -----------------------
-  // SIGKILL the daemon after this many executed (non-cached) cells, so
-  // the kill-and-restart soak can die mid-sweep deterministically.
+  // SIGKILL the daemon after this many executed (non-cached) cells,
+  // each already stored, so the kill-and-restart soak can die mid-sweep
+  // deterministically.
   std::uint64_t kill_after = 0;
   // abort() inside the isolated child of every cell whose JobKey
-  // contains this substring (requires isolate) — exercises the
-  // "crashed" classification end to end.
+  // contains this substring (requires resilience.isolate) — exercises
+  // the "crashed" classification end to end.
   std::string crash_cell;
 };
 
@@ -148,23 +146,23 @@ class Daemon {
   void HandleConnection(int fd);
   void DispatcherMain();
   void ProcessRequest(Request& req);
+  // The runner options of one sweep request: the crash drill as the
+  // inner run_fn, the supervisor's wrapper and drain test composed with
+  // the request deadline, the cache binding, and the kill drill after
+  // each store.
+  [[nodiscard]] sim::RunnerOptions RequestOptions(
+      const std::vector<sim::BatchJob>& jobs,
+      std::chrono::steady_clock::time_point deadline);
   void RespondError(int fd, const std::string& status,
                     const std::string& error);
   [[nodiscard]] std::string BuildResponse(
       const std::string& status, const std::string& error,
-      const std::vector<sim::JobOutcome>& cells,
-      const std::vector<bool>& cached, bool health = false);
-  // One cell, end to end: cache probe -> breaker -> ExecuteCell under
-  // the isolate -> breaker record -> cache store -> kill_after drill.
-  void RunCell(const sim::BatchJob& job,
-               std::chrono::steady_clock::time_point deadline,
-               sim::JobOutcome& out, bool& cached);
+      const std::vector<const sim::JobOutcome*>& cells, bool health = false);
 
   DaemonOptions opts_;
   ResultCache cache_;
-  resilience::CircuitBreaker breaker_;
+  resilience::Supervisor supervisor_;
   AdmissionControl admission_;
-  std::unique_ptr<WorkerPool> pool_;
   int listen_fd_ = -1;
 
   std::mutex mu_;

@@ -21,6 +21,20 @@ double ElapsedMs(std::chrono::steady_clock::time_point since) {
       .count();
 }
 
+// The outcome of a cell that produced no result: its identity, a failure
+// status and why.
+JobOutcome Unrun(const BatchJob& job, const std::string& key,
+                 const char* status, std::string error) {
+  JobOutcome out;
+  out.key = key;
+  out.workload_key = WorkloadKey(job);
+  out.mode = job.mode;
+  out.config_tag = job.config_tag;
+  out.cell_status = status;
+  out.error = std::move(error);
+  return out;
+}
+
 }  // namespace
 
 std::string WorkloadKey(const BatchJob& job) {
@@ -106,36 +120,47 @@ void BatchRunner::WorkerLoop() {
       p = queue_.front();
       queue_.pop_front();
     }
-    // Resume seam, off the lock: a stored cell is answered without
-    // executing. The restore callback fills the full outcome (runs,
-    // stats, status), so downstream consumers cannot tell it apart from
-    // a fresh execution.
-    const bool restored = opts_.restore_fn && Restore(*p);
-    const bool drained = !restored && opts_.drain != nullptr &&
-                         opts_.drain->load(std::memory_order_relaxed);
-    if (drained) {
-      // Graceful drain: never start new work, but let in-flight cells
-      // finish so the cache and the partial report stay consistent.
-      JobOutcome& out = p->outcome;
-      out.key = p->key;
-      out.workload_key = WorkloadKey(p->job);
-      out.mode = p->job.mode;
-      out.config_tag = p->job.config_tag;
-      out.cell_status = "cancelled";
-      out.error = "drained: batch interrupted before this cell executed";
-    } else if (!restored) {
-      Execute(*p);
-      if (opts_.on_outcome) opts_.on_outcome(p->job, p->outcome);
+    // A seam that throws (a cache lookup or store, the drain test)
+    // poisons only its own cell; the worker lives on and so does the
+    // batch.
+    Fate fate = Fate::kExecuted;
+    try {
+      fate = Process(*p);
+    } catch (const std::exception& e) {
+      p->outcome = Unrun(p->job, p->key, "faulted",
+                         std::string("uncaught exception: ") + e.what());
+    } catch (...) {
+      p->outcome = Unrun(p->job, p->key, "faulted",
+                         "uncaught exception: not a std::exception");
     }
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (restored) ++restored_cells_;
-      if (drained) interrupted_ = true;
+      if (fate == Fate::kRestored) ++restored_cells_;
+      if (fate == Fate::kCancelled) interrupted_ = true;
       p->done = true;
       --in_flight_;
     }
     done_cv_.notify_all();
   }
+}
+
+BatchRunner::Fate BatchRunner::Process(Pending& p) {
+  // Resume seam, off the lock: a stored cell is answered without
+  // executing. The restore callback fills the full outcome (runs,
+  // stats, status), so downstream consumers cannot tell it apart from
+  // a fresh execution.
+  if (opts_.restore_fn && Restore(p)) return Fate::kRestored;
+  if (opts_.drain && opts_.drain()) {
+    // Graceful drain: never start new work, but let in-flight cells
+    // finish so the cache and the partial report stay consistent.
+    p.outcome = Unrun(p.job, p.key, "cancelled",
+                      "cancelled: the batch stopped before this cell started");
+    return Fate::kCancelled;
+  }
+  ExecuteCell(p.job, opts_, p.outcome);
+  p.outcome.key = p.key;  // the memo key (== JobKey(p.job) by Submit)
+  if (opts_.on_outcome) opts_.on_outcome(p.job, p.outcome);
+  return Fate::kExecuted;
 }
 
 void ExecuteCell(const BatchJob& job, const RunnerOptions& opts,
@@ -192,7 +217,7 @@ void ExecuteCell(const BatchJob& job, const RunnerOptions& opts,
 bool BatchRunner::Restore(Pending& p) {
   JobOutcome& out = p.outcome;
   if (!opts_.restore_fn(p.job, out)) {
-    out = JobOutcome{};  // a miss leaves nothing behind for Execute
+    out = JobOutcome{};  // a miss leaves nothing behind for ExecuteCell
     return false;
   }
   out.key = p.key;
@@ -201,11 +226,6 @@ bool BatchRunner::Restore(Pending& p) {
   out.config_tag = p.job.config_tag;
   out.restored = true;
   return true;
-}
-
-void BatchRunner::Execute(Pending& p) {
-  ExecuteCell(p.job, opts_, p.outcome);
-  p.outcome.key = p.key;  // the memo key (== JobKey(p.job) by Submit)
 }
 
 const JobOutcome& BatchRunner::Get(const std::string& key) {

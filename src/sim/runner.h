@@ -8,7 +8,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -95,17 +94,21 @@ struct RunnerOptions {
   // before it executes (never under the runner's lock — a lookup may
   // digest the whole workload). Returning true marks the cell done with
   // the filled outcome (counted as restored) instead of executing it; the
-  // --cache binding (bench/bench_util.h) loads from the result cache here.
+  // result-cache binding (serve::BindCache) loads from the cache here.
   std::function<bool(const BatchJob& job, JobOutcome& out)> restore_fn;
   // Completion hook: called from the worker thread right after a cell
-  // finished executing (not for restored or drained cells). The --cache
+  // finished executing (not for restored or drained cells). The cache
   // binding stores completed cells through this; it must not call back
   // into the runner.
+  // An exception thrown by restore_fn or on_outcome poisons only its own
+  // cell ("faulted", with the exception text); the batch carries on.
   std::function<void(const BatchJob& job, const JobOutcome& out)> on_outcome;
-  // Graceful-drain flag (owned by the caller, typically set from a
-  // SIGINT/SIGTERM handler): once true, queued cells are marked
-  // "cancelled" instead of executed; in-flight cells finish normally.
-  std::atomic<bool>* drain = nullptr;
+  // Stop test, polled by a worker before it starts each cell that was not
+  // restored: once it returns true, that cell is marked "cancelled"
+  // instead of executed; in-flight cells finish normally. The supervisor
+  // installs its SIGINT/SIGTERM drain flag here; the serving daemon adds
+  // the request deadline.
+  std::function<bool()> drain;
 };
 
 struct BatchReport {
@@ -120,7 +123,7 @@ struct BatchReport {
   // reconciles exactly like the uninterrupted one.
   std::uint64_t restored_cells = 0;
   std::uint64_t cancelled_cells = 0;
-  bool interrupted = false;  // the drain flag fired during the batch
+  bool interrupted = false;  // the drain test fired during the batch
   double wall_ms = 0;        // batch wall time (construction→Finish)
   [[nodiscard]] bool ok() const { return violations.empty(); }
 };
@@ -129,9 +132,10 @@ struct BatchReport {
 // step-budget watchdog override, the transient-only retry policy and the
 // DsaError -> cell_status mapping — filling `out` (keys, runs, status,
 // attempts, first-run wall time). The BatchRunner's workers execute
-// through this, and so does the serving daemon (src/serve/daemon.cc), so
-// a cell failing under dsa_serve is classified exactly like the same
-// cell failing in a CLI sweep. `opts.run_fn` must be set.
+// every cell through this — CLI sweeps and the serving daemon's requests
+// alike (src/serve/daemon.cc) — so a cell failing under dsa_serve is
+// classified exactly like the same cell failing in a CLI sweep.
+// `opts.run_fn` must be set.
 void ExecuteCell(const BatchJob& job, const RunnerOptions& opts,
                  JobOutcome& out);
 
@@ -186,9 +190,13 @@ class BatchRunner {
     JobOutcome outcome;
   };
 
+  enum class Fate { kExecuted, kRestored, kCancelled };
+
   void WorkerLoop();
+  // One dequeued cell: restore seam, drain test, execution, completion
+  // hook. Lets whatever a seam throws escape to WorkerLoop.
+  Fate Process(Pending& p);
   bool Restore(Pending& p);  // restore_fn hit: fills p.outcome
-  void Execute(Pending& p);
 
   RunnerOptions opts_;
   std::chrono::steady_clock::time_point start_;
@@ -201,7 +209,7 @@ class BatchRunner {
   std::uint64_t in_flight_ = 0;
   std::uint64_t memo_hits_ = 0;
   std::uint64_t restored_cells_ = 0;
-  bool interrupted_ = false;  // a worker observed the drain flag
+  bool interrupted_ = false;  // a worker observed the drain test
   bool stop_ = false;
 
   std::vector<std::thread> workers_;

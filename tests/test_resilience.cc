@@ -558,7 +558,7 @@ TEST(Drain, CancelsQueuedCellsAndMarksTheBatchInterrupted) {
   RunnerOptions o;
   o.jobs = 1;  // serialize: first cell executes, then the flag is up
   o.repeats = 1;
-  o.drain = &drain;
+  o.drain = [&drain] { return drain.load(); };
   o.run_fn = [&drain](const Workload& wl, RunMode m, const SystemConfig& c) {
     drain.store(true);  // as if SIGINT arrived mid-cell
     return sim::Run(wl, m, c);
@@ -610,7 +610,12 @@ TEST(Drain, SupervisorReportsInterruptedRunStatus) {
   o.jobs = 1;
   o.repeats = 1;
   sup.Attach(o);
-  EXPECT_EQ(o.drain, &Supervisor::DrainFlag());
+  // Attach installs the signal flag as the runner's drain test.
+  ASSERT_TRUE(o.drain);
+  EXPECT_FALSE(o.drain());
+  Supervisor::DrainFlag().store(true);
+  EXPECT_TRUE(o.drain());
+  Supervisor::DrainFlag().store(false);
   BatchRunner runner(o);
   (void)runner.Submit(workloads::MakeVecAdd(512), RunMode::kScalar, {});
   const BatchReport report = runner.Finish();

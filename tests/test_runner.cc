@@ -8,7 +8,9 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <new>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -109,6 +111,48 @@ TEST(BatchRunner, JobErrorSurfacesOnGet) {
   EXPECT_THROW(runner.Get(key), std::runtime_error);
   const BatchReport report = runner.Finish();
   EXPECT_FALSE(report.ok());
+}
+
+// An exception escaping a seam (a cache lookup in restore_fn, a store in
+// on_outcome) poisons only its own cell; without the containment it
+// escapes the worker thread and std::terminate ends the process.
+TEST(BatchRunner, ThrowingSeamPoisonsOnlyItsCell) {
+  RunnerOptions o;
+  o.jobs = 2;
+  o.repeats = 1;
+  const Workload wl = SmallVecAdd();
+  const std::string restore_bomb =
+      JobKey(BatchJob{wl, RunMode::kAutoVec, {}, "", ""});
+  const std::string store_bomb =
+      JobKey(BatchJob{wl, RunMode::kHandVec, {}, "", ""});
+  o.restore_fn = [&restore_bomb](const BatchJob& job, JobOutcome&) {
+    if (JobKey(job) == restore_bomb) {
+      throw std::runtime_error("lookup failed");
+    }
+    return false;
+  };
+  o.on_outcome = [&store_bomb](const BatchJob& job, const JobOutcome&) {
+    if (JobKey(job) == store_bomb) throw std::bad_alloc();
+  };
+  BatchRunner runner(o);
+  const auto keys = runner.SubmitMatrix(wl);
+  const BatchReport report = runner.Finish();
+  EXPECT_EQ(report.faulted_cells, 2u);
+  for (const std::string& key : keys) {
+    const JobOutcome& out = runner.outcomes().at(key);
+    EXPECT_EQ(out.key, key);
+    if (key == restore_bomb) {
+      EXPECT_EQ(out.cell_status, "faulted");
+      EXPECT_NE(out.error.find("lookup failed"), std::string::npos)
+          << out.error;
+    } else if (key == store_bomb) {
+      EXPECT_EQ(out.cell_status, "faulted");
+      EXPECT_NE(out.error.find("bad_alloc"), std::string::npos) << out.error;
+    } else {
+      EXPECT_EQ(out.cell_status, "ok") << key;
+      EXPECT_EQ(out.runs.size(), 1u) << key;
+    }
+  }
 }
 
 // The batch result must not depend on how many workers executed it.

@@ -2,10 +2,10 @@
 // parsing, wire-protocol framing over a socketpair, workload/config
 // digests, the persistent result cache (round trip, corruption
 // quarantine, version invalidation), resume through the cache on the CLI
-// path (--cache), the respawning worker pool,
-// admission control, and the daemon end to end over a real Unix-domain
-// socket — submit, cache-hit resubmit with bit-identical results,
-// malformed requests, request deadlines and the graceful drain.
+// path (--cache), admission control, and the daemon end to end over a
+// real Unix-domain socket — submit, cache-hit resubmit with bit-identical
+// results, the shared restore rule, malformed requests, request
+// deadlines, the crash drill, the breaker and the graceful drain.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -30,7 +30,6 @@
 #include "serve/client.h"
 #include "serve/daemon.h"
 #include "serve/flags.h"
-#include "serve/pool.h"
 #include "serve/proto.h"
 #include "sim/codec.h"
 #include "sim/runner.h"
@@ -671,15 +670,16 @@ TEST(ResultCacheTest, EntryCutAtAnyByteIsNeverServed) {
 
 // ---------------------------------------------------------------------------
 // Resume through the result cache on the CLI path: bench drivers bind
-// --cache DIR to the runner's restore_fn/on_outcome seams
-// (bench/bench_util.h).
+// --cache DIR to the runner's restore_fn/on_outcome seams (BindCache).
 
-std::shared_ptr<bench::CacheBinding> BindCache(const std::string& dir,
-                                               sim::RunnerOptions& ro) {
+// Opens a result cache in `dir` and binds it to `ro`.
+std::unique_ptr<ResultCache> OpenBoundCache(const std::string& dir,
+                                            sim::RunnerOptions& ro) {
+  auto cache = std::make_unique<ResultCache>();
   std::string err;
-  auto binding = bench::BindCache(dir, ro, &err);
-  EXPECT_NE(binding, nullptr) << err;
-  return binding;
+  EXPECT_TRUE(cache->Open(dir, &err)) << err;
+  BindCache(*cache, ro);
+  return cache;
 }
 
 TEST(CliCache, RestoresStoredCellsWithoutReexecution) {
@@ -693,14 +693,14 @@ TEST(CliCache, RestoresStoredCellsWithoutReexecution) {
     sim::RunnerOptions o;
     o.jobs = 2;
     o.repeats = 2;
-    const auto binding = BindCache(dir, o);
+    const auto cache = OpenBoundCache(dir, o);
     sim::BatchRunner runner(o);
     const auto ks = runner.SubmitMatrix(wl);
     keys.assign(ks.begin(), ks.end());
     const sim::BatchReport report = runner.Finish();
     ASSERT_TRUE(report.ok());
     EXPECT_EQ(report.restored_cells, 0u);
-    EXPECT_EQ(binding->cache.stats().stores, 4u);
+    EXPECT_EQ(cache->stats().stores, 4u);
     for (const std::string& k : keys) {
       serialized[k] = sim::SerializeOutcome(runner.outcomes().at(k));
     }
@@ -717,14 +717,14 @@ TEST(CliCache, RestoresStoredCellsWithoutReexecution) {
     ++executions;
     return sim::Run(w, m, c);
   };
-  const auto binding = BindCache(dir, o2);
+  const auto cache = OpenBoundCache(dir, o2);
   sim::BatchRunner runner2(o2);
   (void)runner2.SubmitMatrix(wl);
   const sim::BatchReport report2 = runner2.Finish();
   EXPECT_TRUE(report2.ok());
   EXPECT_EQ(executions.load(), 0);
   EXPECT_EQ(report2.restored_cells, 4u);
-  EXPECT_EQ(binding->cache.stats().stores, 0u);  // restored, not re-stored
+  EXPECT_EQ(cache->stats().stores, 0u);  // restored, not re-stored
   // Restored cells keep their recorded run count, so the report
   // reconciles exactly like the uninterrupted batch.
   EXPECT_EQ(report2.executed_runs, 4u * 2u);
@@ -748,7 +748,7 @@ TEST(CliCache, RestoresStoredCellsWithoutReexecution) {
   executions = 0;
   sim::RunnerOptions o3 = o2;
   o3.repeats = 3;
-  const auto binding3 = BindCache(dir, o3);
+  const auto cache3 = OpenBoundCache(dir, o3);
   sim::BatchRunner runner3(o3);
   (void)runner3.SubmitMatrix(wl);
   EXPECT_EQ(runner3.Finish().restored_cells, 0u);
@@ -767,7 +767,7 @@ TEST(CliCache, ConfigChangeRestoresNothingStale) {
     sim::RunnerOptions o;
     o.jobs = 1;
     o.repeats = 1;
-    const auto binding = BindCache(dir, o);
+    const auto cache = OpenBoundCache(dir, o);
     sim::BatchRunner runner(o);
     const std::string key = runner.Submit(wl, RunMode::kDsa, cfg);
     const std::uint64_t cycles = runner.Result(key).cycles;
@@ -799,13 +799,13 @@ TEST(CliCache, StoreFailuresSurfaceInTheBenchJsonCensus) {
     sim::RunnerOptions o;
     o.jobs = 1;
     o.repeats = 1;
-    const auto binding = BindCache(dir, o);
+    const auto cache = OpenBoundCache(dir, o);
     sim::BatchRunner runner(o);
     (void)runner.Submit(workloads::MakeVecAdd(256), RunMode::kScalar, {});
     const sim::BatchReport report = runner.Finish();
     resilience::ClearIoFaultPlan();
     sim::BenchJsonExtras extras;
-    bench::FillCacheCensus(*binding, report, extras);
+    bench::FillCacheCensus(*cache, report, extras);
     EXPECT_TRUE(sim::WriteBenchJson(json, "iofault", runner, report, &extras));
     resilience::JsonValue doc;
     EXPECT_TRUE(resilience::ParseJson(Slurp(json), doc));
@@ -865,69 +865,6 @@ TEST(CliCacheDeathTest, TraceWithCacheIsRefused) {
                                           argv.data()),
               ::testing::ExitedWithCode(2),
               "--trace is not supported with --cache");
-}
-
-// ---------------------------------------------------------------------------
-// Worker pool: respawn with backoff, retirement, drain.
-
-TEST(WorkerPoolTest, ExecutesSubmittedTasks) {
-  WorkerPool pool(PoolOptions{.workers = 2});
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_TRUE(pool.Submit([&ran] { ++ran; }));
-  }
-  pool.Drain();
-  EXPECT_EQ(ran.load(), 16);
-  EXPECT_EQ(pool.stats().executed, 16u);
-  EXPECT_EQ(pool.stats().escaped, 0u);
-}
-
-TEST(WorkerPoolTest, EscapedTaskKillsOnlyItsWorkerAndRespawns) {
-  WorkerPool pool(
-      PoolOptions{.workers = 1, .backoff_base_ms = 1, .max_strikes = 5});
-  ASSERT_TRUE(pool.Submit([] { throw std::runtime_error("poison"); }));
-  // Wait for the respawn, then prove the pool still executes.
-  std::atomic<bool> ran{false};
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (pool.stats().live_workers > 0 &&
-        pool.Submit([&ran] { ran = true; })) {
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  pool.Drain();
-  EXPECT_TRUE(ran.load());
-  const PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.escaped, 1u);
-  EXPECT_GE(stats.respawns, 1u);
-  EXPECT_EQ(stats.executed, 1u);
-}
-
-TEST(WorkerPoolTest, RepeatOffenderIsRetiredAndSubmitRefuses) {
-  WorkerPool pool(
-      PoolOptions{.workers = 1, .backoff_base_ms = 1, .max_strikes = 2});
-  for (int i = 0; i < 2; ++i) {
-    // Serialize the escapes so both strikes land on the same worker.
-    ASSERT_TRUE(pool.Submit([] { throw std::runtime_error("poison"); }));
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (pool.stats().escaped != static_cast<std::uint64_t>(i + 1) &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    }
-  }
-  // After max_strikes consecutive escapes the slot retires for good.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (pool.stats().live_workers != 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  EXPECT_EQ(pool.stats().live_workers, 0);
-  EXPECT_FALSE(pool.Submit([] {}));
-  pool.Drain();  // must not hang with every worker gone
 }
 
 // ---------------------------------------------------------------------------
@@ -1127,7 +1064,7 @@ TEST_F(DaemonE2E, IsolatedCrashCellPoisonsOnlyItself) {
 #endif
   DaemonOptions opts;
   opts.socket_path = SocketPath("crash");
-  opts.isolate = true;
+  opts.resilience.isolate = true;
   // The Fig-16 "orig" DSA cell crashes; the extended sibling completes.
   opts.crash_cell = "BitCount@neon-dsa/orig";
   Start(std::move(opts));
@@ -1151,6 +1088,122 @@ TEST_F(DaemonE2E, IsolatedCrashCellPoisonsOnlyItself) {
   }
   EXPECT_EQ(crashed, 1);
   EXPECT_EQ(ok, 1);
+}
+
+TEST_F(DaemonE2E, BreakerOpensAcrossRequests) {
+#if DSA_UNDER_TSAN
+  GTEST_SKIP() << "fork from the daemon's threaded process is unsupported "
+                  "under TSan";
+#endif
+  DaemonOptions opts;
+  opts.socket_path = SocketPath("breaker");
+  // One worker runs the cells in SweepJobs order, so the breaker
+  // sequence below is deterministic.
+  opts.workers = 1;
+  opts.resilience.isolate = true;
+  opts.resilience.breaker_threshold = 1;
+  opts.crash_cell = "BitCount@neon-dsa/orig";
+  Start(std::move(opts));
+
+  const auto statuses = [this](const char* tag) {
+    const resilience::JsonValue resp =
+        SubmitAndParse("BitCount@neon-dsa", 1, tag);
+    EXPECT_EQ(Field(resp, "status"), "ok");
+    std::map<std::string, std::string> out;
+    if (const resilience::JsonValue* cells = resp.Find("cells")) {
+      for (const resilience::JsonValue& cell : cells->array) {
+        out[Field(cell, "job")] = Field(cell, "cell_status");
+      }
+    }
+    return std::make_pair(out, resp);
+  };
+  // The first request crashes the /orig cell, which opens BitCount's
+  // breaker (threshold 1).
+  const auto [first, first_resp] = statuses("breaker_first");
+  EXPECT_EQ(first.at("BitCount@neon-dsa"), "ok");
+  EXPECT_EQ(first.at("BitCount@neon-dsa/orig"), "crashed");
+  // The breaker outlives the request: the next one fails BitCount fast.
+  const auto [second, second_resp] = statuses("breaker_second");
+  EXPECT_EQ(second.at("BitCount@neon-dsa"), "skipped");
+  EXPECT_EQ(second.at("BitCount@neon-dsa/orig"), "skipped");
+  const resilience::JsonValue* breaker = second_resp.Find("breaker");
+  ASSERT_TRUE(breaker != nullptr && breaker->is_array());
+  ASSERT_EQ(breaker->array.size(), 1u);
+  EXPECT_EQ(Field(breaker->array[0], "workload"), "BitCount");
+  EXPECT_EQ(Field(breaker->array[0], "trips"), "1");
+  EXPECT_EQ(Field(breaker->array[0], "skipped"), "2");
+}
+
+TEST_F(DaemonE2E, DeadlineMidSweepCancelsUnstartedCells) {
+  DaemonOptions opts;
+  opts.socket_path = SocketPath("deadline");
+  opts.cache_dir = TempPath("daemon_deadline_cache");
+  opts.workers = 1;
+  Start(std::move(opts));
+
+  // A cold full sweep on one worker takes far longer than 100 ms, so the
+  // deadline passes mid-sweep: the cells not started by then end
+  // "cancelled" and are never stored.
+  ClientOptions c;
+  c.socket_path = socket_path_;
+  c.deadline_ms = 100;
+  c.quiet = true;
+  c.json_path = TempPath("resp_deadline") + ".json";
+  EXPECT_EQ(Submit(c), 4);  // a "deadline" status, typed
+  resilience::JsonValue resp;
+  ASSERT_TRUE(resilience::ParseJson(Slurp(c.json_path), resp));
+  EXPECT_EQ(Field(resp, "status"), "deadline");
+  const resilience::JsonValue* cells = resp.Find("cells");
+  ASSERT_TRUE(cells != nullptr && cells->is_array());
+  EXPECT_EQ(cells->array.size(), SweepJobs("").size());
+  std::uint64_t ok = 0;
+  std::uint64_t cancelled = 0;
+  for (const resilience::JsonValue& cell : cells->array) {
+    const std::string status = Field(cell, "cell_status");
+    EXPECT_TRUE(status == "ok" || status == "cancelled")
+        << Field(cell, "job") << ": " << status;
+    ok += status == "ok" ? 1 : 0;
+    cancelled += status == "cancelled" ? 1 : 0;
+  }
+  EXPECT_GE(cancelled, 1u);
+  // Every completed cell was stored, and nothing else.
+  const resilience::JsonValue* cache = resp.Find("cache");
+  ASSERT_NE(cache, nullptr);
+  EXPECT_EQ(Field(*cache, "stores"), std::to_string(ok));
+}
+
+// The restore rule is the CLI's: a stored cell answers only a run that
+// asks for at most as many determinism samples as it holds.
+TEST_F(DaemonE2E, StoredCellServesOnlyRunsWithNoMoreRepeats) {
+  const std::string cache_dir = TempPath("daemon_repeats_cache");
+  const auto serve_twice = [&](int repeats, const char* tag) {
+    DaemonOptions opts;
+    opts.socket_path = SocketPath(tag);
+    opts.cache_dir = cache_dir;
+    opts.repeats = repeats;
+    Start(std::move(opts));
+    std::vector<bool> cached;
+    for (const char* pass : {"_a", "_b"}) {
+      const resilience::JsonValue resp = SubmitAndParse(
+          "BitCount@arm-original", 0, (std::string(tag) + pass).c_str());
+      const resilience::JsonValue* cells = resp.Find("cells");
+      EXPECT_TRUE(cells != nullptr && cells->array.size() == 1u);
+      cached.push_back(cells != nullptr && !cells->array.empty() &&
+                       FieldBool(cells->array[0], "cached"));
+    }
+    resilience::Supervisor::DrainFlag().store(true);
+    serve_thread_.join();
+    EXPECT_EQ(exit_code_, 3);
+    daemon_.reset();
+    resilience::Supervisor::DrainFlag().store(false);
+    return cached;
+  };
+  // --repeats 1 stores the cell with one sample and serves it back.
+  EXPECT_EQ(serve_twice(1, "rep1"), (std::vector<bool>{false, true}));
+  // --repeats 2 re-executes it, stores two samples, then serves them.
+  EXPECT_EQ(serve_twice(2, "rep2"), (std::vector<bool>{false, true}));
+  // The two-sample cell serves a --repeats 1 daemon at once.
+  EXPECT_EQ(serve_twice(1, "rep1again"), (std::vector<bool>{true, true}));
 }
 
 // ---------------------------------------------------------------------------
