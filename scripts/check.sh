@@ -85,10 +85,11 @@ echo "== traced mini bench + trace validation =="
 python3 scripts/validate_trace.py "$BUILD"/TRACE_check.json
 
 echo "== kill-and-resume soak smoke =="
-# bench_soak runs a seeded sweep, SIGKILLs itself mid-batch, reruns over
-# the same --cache directory and gates on the resumed bench report being
-# bit-identical to an uninterrupted run (docs/RESILIENCE.md).
-"$BUILD"/bench/bench_soak --steps small --seed 7 \
+# bench_soak's cli front runs a seeded sweep in-process as the reference,
+# has a worker SIGKILL itself mid-batch, resumes over the same --cache
+# directory and gates on the resumed bench report being bit-identical to
+# the reference (docs/RESILIENCE.md).
+"$BUILD"/bench/bench_soak --front cli --steps small --seed 7 \
     --dir "$BUILD"/soak_check.tmp
 
 echo "== runner + resilience suites under TSan =="
@@ -121,11 +122,25 @@ echo "== release build + throughput smoke =="
 # code is gated by the differential oracle; the validator re-checks the
 # dsa-bench-json/8 contract and that every job reports MIPS > 0.
 cmake --preset release > /dev/null
-cmake --build build -j "$JOBS" --target bench_throughput bench_a3_fig8_perf
+cmake --build build -j "$JOBS" --target bench_throughput bench_a3_fig8_perf \
+    bench_soak
 build/bench/bench_throughput --filter VecAdd --repeats 2 \
     --json build/BENCH_throughput_check.json
 grep -q '"ok": true' build/BENCH_throughput_check.json
 python3 scripts/validate_bench.py build/BENCH_throughput_check.json
+
+echo "== kill-and-resume soak sweep (seeds 1-15 x small|full) =="
+# The cli front over 30 seeded sweeps: each kills its worker after a
+# different number of cache stores and gates the resumed report
+# bit-identical to the in-process reference. A restored-cell codec defect
+# that only one seed's workload sizes reach fails here.
+for steps in small full; do
+  for seed in $(seq 1 15); do
+    build/bench/bench_soak --front cli --steps "$steps" --seed "$seed" \
+        --dir build/soak_sweep.tmp > /dev/null ||
+      { echo "bench_soak --steps $steps --seed $seed failed" >&2; exit 1; }
+  done
+done
 
 echo "== one cell codec: in-process, isolated and restored cells agree =="
 # The bench-JSON cell is also the encoding the result cache stores and
@@ -184,21 +199,14 @@ build/bench/bench_throughput --filter DispatchMicro \
 # every MM cell clears it with margin.
 build/bench/bench_throughput --filter MM --interleave 3 --assert-ratio 2.9
 
-echo "== serving daemon smoke (kill -9, restart, cache bit-identity) =="
-# The daemon's whole crash-tolerance story, end to end (docs/SERVING.md):
-# a dsa_serve with a --kill-after drill SIGKILLs itself mid-sweep, a
-# restarted daemon over the same cache serves the completed cells from
-# disk and simulates only the rest, and the merged response is gated
-# bit-identical (cycles + output digests) against an uninterrupted
-# bench_matrix run of the same cells. A third submit must be fully cached.
+echo "== CLI sweep and daemon share one result cache =="
+# A CLI sweep stores every completed cell under --cache; a daemon started
+# over the same directory must answer the same filter entirely from it,
+# bit-identical (cycles + output digests) to the sweep's own report.
 cmake --build build -j "$JOBS" --target bench_matrix dsa_serve dsa_submit \
-    dsa_chaos_client bench_soak_serve
+    dsa_chaos_client bench_soak
 SOCK=build/dsa_serve_check.sock
 CACHE=build/serve_cache_check
-rm -rf "$CACHE" "$SOCK"
-build/bench/bench_matrix --filter BitCount --jobs "$JOBS" --repeats 1 \
-    --json build/BENCH_serve_ref.json
-grep -q '"ok": true' build/BENCH_serve_ref.json
 
 wait_for_daemon() {
   for _ in $(seq 1 100); do
@@ -212,41 +220,6 @@ wait_for_daemon() {
   return 1
 }
 
-build/bench/dsa_serve --socket "$SOCK" --cache "$CACHE" --kill-after 2 &
-SERVE_PID=$!
-wait_for_daemon
-set +e
-build/bench/dsa_submit --socket "$SOCK" --filter BitCount --quiet
-RC=$?
-wait "$SERVE_PID"
-set -e
-# The daemon SIGKILLed itself mid-sweep: the client sees a torn
-# connection (exit 5), never a fabricated result.
-[[ "$RC" -eq 5 ]]
-
-build/bench/dsa_serve --socket "$SOCK" --cache "$CACHE" &
-SERVE_PID=$!
-wait_for_daemon
-build/bench/dsa_submit --socket "$SOCK" --filter BitCount \
-    --json build/SERVE_check.json --quiet
-python3 scripts/validate_serve.py build/SERVE_check.json \
-    --ref build/BENCH_serve_ref.json --min-cached 2
-build/bench/dsa_submit --socket "$SOCK" --filter BitCount \
-    --json build/SERVE_check2.json --quiet
-python3 scripts/validate_serve.py build/SERVE_check2.json \
-    --ref build/BENCH_serve_ref.json --all-cached
-# Graceful drain: SIGTERM finishes in-flight work and exits 3.
-set +e
-kill -TERM "$SERVE_PID"
-wait "$SERVE_PID"
-RC=$?
-set -e
-[[ "$RC" -eq 3 ]]
-
-echo "== CLI sweep and daemon share one result cache =="
-# A CLI sweep stores every completed cell under --cache; a daemon started
-# over the same directory must answer the same filter entirely from it,
-# bit-identical (cycles + output digests) to the sweep's own report.
 CLI_CACHE=build/cli_cache_check
 rm -rf "$CLI_CACHE" "$SOCK"
 build/bench/bench_matrix --filter BitCount --jobs "$JOBS" --repeats 1 \
@@ -319,16 +292,19 @@ set -e
 rm -rf "$CACHE" "$SOCK"
 
 echo "== kill-and-chaos soak gate (io-faults + kill -9 + scrub) =="
-# bench_soak_serve composes the whole hostile-environment story: each
-# round installs a seeded io-fault plan, runs chaos clients against the
-# daemon, kills it (SIGKILL or --kill-after suicide), plants one byte of
-# cache corruption for the next boot scrub, and restarts. The drill gates
-# internally on every served cell being bit-identical to an in-process
-# reference sweep; the validator re-checks the final response against the
-# same reference from the outside.
-rm -rf build/soak_serve_check.tmp
-build/bench/bench_soak_serve --filter BitCount --seed 7 --rounds 2 \
-    --dir build/soak_serve_check.tmp --keep
+# bench_soak's serve front composes the whole hostile-environment story
+# around the real dsa_serve: in each round a daemon dies of its own
+# --kill-after drill (the sweep must see a torn connection, exit 5) and a
+# restarted one, under a seeded io-fault plan and chaos clients, must
+# serve the cell the killed one stored from the cache before it is killed
+# -9; one byte of cache corruption is then planted for the next boot
+# scrub. A final clean round must serve every cell, some from the cache,
+# answer a resubmit entirely from the cache and exit 3 on SIGTERM. Every
+# served cell is gated bit-identical to an in-process reference sweep;
+# the validator re-checks the final response against the same reference
+# from the outside.
+timeout -k 10 300 build/bench/bench_soak --front serve --filter BitCount \
+    --seed 7 --rounds 2 --dir build/soak_serve_check.tmp --keep
 python3 scripts/validate_serve.py build/soak_serve_check.tmp/final.json \
     --ref build/soak_serve_check.tmp/reference.json --min-cached 1
 python3 scripts/validate_serve.py build/soak_serve_check.tmp/health.json \

@@ -57,7 +57,7 @@ class JsonValue {
 // Serializes a JsonValue back to compact JSON (objects keep insertion
 // order). Numbers are re-emitted verbatim from their raw text, so a
 // parse -> filter -> dump round trip never perturbs a value — that is
-// what makes the canonical bench-report comparison in bench_soak exact.
+// what makes the soak driver's canonical report comparison exact.
 [[nodiscard]] std::string DumpJson(const JsonValue& v);
 
 // Escapes `s` as the contents of a JSON string literal (no quotes).

@@ -89,11 +89,7 @@ struct DaemonOptions {
   // client dripping header bytes is cut off instead of pinning a reader.
   // 0 = no deadline.
   std::uint64_t read_deadline_ms = 5000;
-  // Boot-time cache scrub (cache.h Scrub): verify every entry before
-  // serving, quarantining corruption up front. On by default; the flag
-  // exists so tests can observe first-Load quarantine behaviour.
-  bool scrub = true;
-  // --- crash-drill hooks (tests/check.sh only) -----------------------
+  // --- crash-drill hooks (tests, check.sh, bench_soak only) ----------
   // SIGKILL the daemon after this many executed (non-cached) cells,
   // each already stored, so the kill-and-restart soak can die mid-sweep
   // deterministically.
@@ -107,8 +103,8 @@ struct DaemonOptions {
 // The daemon's sweep space — bench_matrix's batch (same sets, same
 // modes, same config tags, default configs) deduplicated by JobKey and
 // optionally narrowed by a case-insensitive substring filter. Exposed so
-// the chaos soak (bench/bench_soak_serve.cc) can compute its reference
-// truth from exactly the cells the daemon will serve.
+// the soak driver's serve front (bench/bench_soak.cc --front serve) can
+// compute its reference from exactly the cells the daemon will serve.
 [[nodiscard]] std::vector<sim::BatchJob> SweepJobs(const std::string& filter);
 
 class Daemon {
